@@ -100,7 +100,6 @@ def cmd_analyze(args) -> int:
     inputs = RateInputs(cfg.model, grid)
     report = decompose(inputs)
 
-    literal = sum(max(0.0, p.real) for p in cfg.model.plant.poles())
     doc = {
         "stability": _stability_block(stab),
         "units": units,
@@ -113,14 +112,7 @@ def cmd_analyze(args) -> int:
             "grid_points": report.grid_points,
             "convergence_estimate": _r(report.convergence_estimate * factor),
         },
-        "pole_sum_literal": _r(literal * factor),
     }
-    if abs(literal - report.bode_analytic) > 1e-9:
-        doc["pole_sum_note"] = (
-            "raw pole-sum reading differs from the log-magnitude Bode value; "
-            "the reported bode_analytic is the quadrature-certified "
-            "sum of ln max(1, |pole|)"
-        )
     if args.integrands:
         export_integrands(inputs, args.integrands)
     _emit(json.dumps(doc, indent=2) + "\n", args.output)

@@ -33,7 +33,6 @@ from .lti import (
     LoopModel,
     TransferFunction,
     close_loop,
-    freq_response_array,
     is_stabilizing,
     pole_placement_controller,
     tf,
@@ -41,12 +40,11 @@ from .lti import (
 from .spectral import (
     NEAR_SINGULAR_FLOOR,
     FrequencyGrid,
+    LoopSpectra,
     NoiseSpec,
     SpectrumSamples,
     colored,
     log_integral,
-    noise_psd,
-    output_psd,
     sensitivity_ratio,
     white,
 )
@@ -75,17 +73,7 @@ class RateInputs:
 
     @cached_property
     def closed_loop(self) -> ClosedLoop:
-        return close_loop_checked(self.model)
-
-
-def close_loop_checked(model: LoopModel) -> ClosedLoop:
-    cl = close_loop(model)
-    if not cl.is_stable:
-        raise UnstableLoopError(
-            "closed loop is unstable",
-            poles=[p for p in cl.closed_loop_poles if abs(p) >= 1.0 - 1e-9],
-        )
-    return cl
+        return close_loop(self.model)
 
 
 @dataclass(frozen=True)
@@ -136,43 +124,36 @@ def gaussian_entropy_rate(s: SpectrumSamples) -> float:
     return 0.5 * math.log(2.0 * math.pi * math.e) + 0.5 * log_integral(s)
 
 
-def _loop_spectra(model: LoopModel, cl: ClosedLoop, grid: FrequencyGrid):
-    sw = noise_psd(model.channel_noise, grid)
-    sv = noise_psd(model.output_disturbance, grid)
-    sy = output_psd(cl, sw, sv)
-    return sw, sv, sy
-
-
 def directed_info_rate(inputs: RateInputs) -> float:
     """I(Z -> Y) per sample: the log integral of sqrt(S_Y/S_W)."""
-    cl = inputs.closed_loop
-    sw, _, sy = _loop_spectra(inputs.model, cl, inputs.grid)
-    return log_integral(sensitivity_ratio(sy, sw))
+    spectra = LoopSpectra.evaluate(inputs.model, inputs.closed_loop, inputs.grid)
+    return log_integral(sensitivity_ratio(spectra.sy, spectra.sw))
 
 
 @dataclass(frozen=True)
 class _Integrands:
-    """Per-frequency integrand samples for one grid, plus the smallest
-    PSD-scale quantity a log is taken of (for near-singularity detection)."""
+    """Per-frequency integrand samples on one grid, plus the PSD-scale
+    quantities a log is taken of (for near-singularity detection)."""
 
-    grid: FrequencyGrid
     log_ratio: np.ndarray
     log_fwy: np.ndarray
     disturbance: np.ndarray
     disturbance_alt: np.ndarray
-    min_scale: float
+    ratio2: np.ndarray
+    fwy2: np.ndarray
+
+    def min_scale(self, step: int) -> float:
+        """Smallest log argument among every step-th sample."""
+        return float(min(np.min(self.ratio2[::step]), np.min(self.fwy2[::step])))
 
 
-def _integrands(model: LoopModel, cl: ClosedLoop, grid: FrequencyGrid) -> _Integrands:
-    sw, sv, sy = _loop_spectra(model, cl, grid)
-    ratio = sensitivity_ratio(sy, sw)
+def _integrands(spectra: LoopSpectra) -> _Integrands:
+    sw, sv, fwy2 = spectra.sw, spectra.sv, spectra.fwy2
+    ratio = sensitivity_ratio(spectra.sy, sw)
+    ratio2 = ratio.values**2
 
-    omegas = grid.omegas
-    fwy2 = np.abs(freq_response_array(cl.f_wy, omegas)) ** 2
-    fvy2 = np.abs(freq_response_array(cl.f_vy, omegas)) ** 2
-    h2 = np.abs(freq_response_array(model.feedback_filter, omegas)) ** 2
-
-    for label, vals in (("sensitivity ratio", ratio.values**2), ("|f_wy|^2", fwy2)):
+    omegas = spectra.grid.omegas
+    for label, vals in (("sensitivity ratio", ratio2), ("|f_wy|^2", fwy2)):
         nonpos = vals <= 0.0
         if np.any(nonpos):
             k = int(np.argmax(nonpos))
@@ -192,23 +173,22 @@ def _integrands(model: LoopModel, cl: ClosedLoop, grid: FrequencyGrid) -> _Integ
         )
 
     return _Integrands(
-        grid=grid,
         log_ratio=np.log(ratio.values),
         log_fwy=0.5 * np.log(fwy2),
-        disturbance=0.5 * np.log1p(h2 * sv.values / sw.values),
-        disturbance_alt=0.5 * np.log1p(fvy2 * sv.values / denom),
-        min_scale=float(min(np.min(ratio.values**2), np.min(fwy2))),
+        disturbance=0.5 * np.log1p(spectra.h2 * sv.values / sw.values),
+        disturbance_alt=0.5 * np.log1p(spectra.fvy2 * sv.values / denom),
+        ratio2=ratio2,
+        fwy2=fwy2,
     )
 
 
-def bode_term_analytic(cl: ClosedLoop, plant: TransferFunction) -> float:
+def bode_term_analytic(model: LoopModel) -> float:
     """Discrete-time Bode sensitivity value: sum of ln max(1, |lambda|) over
-    the plant poles. Matches the quadrature of log|f_wy| when the loop gain
-    is strictly proper, the rest of the loop is stable, and nothing unstable
-    cancels. cl is accepted for the stability precondition it documents; the
-    value depends on the plant poles alone."""
-    del cl
-    return float(sum(math.log(max(1.0, abs(p))) for p in plant.poles()))
+    the poles of P, K and H, which are the open-loop poles of L = P*K*H.
+    Matches the quadrature of log|f_wy| when the loop gain is strictly
+    proper, the loop is stabilized, and nothing unstable cancels."""
+    factors = (model.plant, model.controller, model.feedback_filter)
+    return float(sum(math.log(max(1.0, abs(p))) for f in factors for p in f.poles()))
 
 
 def white_noise_disturbance_term(sigma_v2: float, sigma_w2: float) -> float:
@@ -227,32 +207,49 @@ def decompose(inputs: RateInputs) -> DecompositionReport:
     |H|^2 form) are evaluated and must agree within 1e-10; the report carries
     the simplified form. Near-singular integrands (samples below 1e-12)
     trigger one 4x grid refinement before a hard error.
-    """
-    model = inputs.model
-    cl = inputs.closed_loop
-    grid = inputs.grid
 
-    parts = _integrands(model, cl, grid)
-    if parts.min_scale < NEAR_SINGULAR_FLOOR:
+    The loop is evaluated once, on the doubled grid: its even-indexed samples
+    are exactly the requested grid, which gives the reported values, and all
+    its samples give the grid-doubling convergence estimate.
+    """
+    return _decompose(inputs.model, inputs.closed_loop, inputs.grid)[0]
+
+
+def _decompose(
+    model: LoopModel,
+    cl: ClosedLoop,
+    grid: FrequencyGrid,
+    reuse: LoopSpectra | None = None,
+) -> tuple[DecompositionReport, LoopSpectra]:
+    """decompose, also returning the doubled-grid spectra it used. reuse, a
+    LoopSpectra of the same sources and H under another controller, lends
+    its controller-free parts when it lies on the doubled grid."""
+    fine_grid = grid.doubled()
+    if reuse is not None and reuse.grid == fine_grid:
+        spectra = reuse.with_closed_loop(cl)
+    else:
+        spectra = LoopSpectra.evaluate(model, cl, fine_grid)
+    fine = _integrands(spectra)
+    # the refinement rule looks at the samples of the requested grid only
+    if fine.min_scale(2) < NEAR_SINGULAR_FLOOR:
         warnings.warn(
             "near-singular log integrand; refining the grid 4x",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
         grid = grid.doubled().doubled()
-        parts = _integrands(model, cl, grid)
-        if parts.min_scale < NEAR_SINGULAR_FLOOR:
+        spectra = LoopSpectra.evaluate(model, cl, grid.doubled())
+        fine = _integrands(spectra)
+        if fine.min_scale(2) < NEAR_SINGULAR_FLOOR:
             raise SingularityError(
                 "log integrand stays near-singular after 4x grid refinement; "
                 "a closed-loop zero is too close to the unit circle"
             )
 
-    fine = _integrands(model, cl, grid.doubled())
-
-    total = float(np.mean(parts.log_ratio))
-    control = float(np.mean(parts.log_fwy))
-    disturbance = float(np.mean(parts.disturbance))
-    disturbance_alt = float(np.mean(parts.disturbance_alt))
+    total = float(np.mean(fine.log_ratio[::2]))
+    control = float(np.mean(fine.log_fwy[::2]))
+    disturbance = float(np.mean(fine.disturbance[::2]))
+    disturbance_alt = float(np.mean(fine.disturbance_alt[::2]))
     if abs(disturbance - disturbance_alt) > CROSS_CHECK_TOL:
         raise ConsistencyError(
             "the two disturbance-integrand forms disagree: "
@@ -265,15 +262,16 @@ def decompose(inputs: RateInputs) -> DecompositionReport:
         abs(float(np.mean(fine.disturbance)) - disturbance),
     )
 
-    return DecompositionReport(
+    report = DecompositionReport(
         total_rate=total,
         control_term=control,
         disturbance_term=disturbance,
         residual=total - control - disturbance,
-        bode_analytic=bode_term_analytic(cl, model.plant),
+        bode_analytic=bode_term_analytic(model),
         grid_points=grid.n_points,
         convergence_estimate=estimate,
     )
+    return report, spectra
 
 
 @dataclass(frozen=True)
@@ -307,16 +305,20 @@ def controller_independence_check(
     """
     grid = grid or FrequencyGrid()
     terms = []
+    spectra = None
     for i, k in enumerate(alt_controllers):
         candidate = replace(model, controller=k)
-        report = is_stabilizing(candidate)
-        if not report.is_stabilizing:
+        try:
+            inputs = RateInputs(candidate, grid)
+        except (UnstableLoopError, DegenerateLoopError) as exc:
             raise UnstableLoopError(
                 f"controller #{i} (num={k.num.coeffs}, den={k.den.coeffs}) "
                 "does not stabilize the loop",
-                poles=report.offending_poles,
-            )
-        terms.append(decompose(RateInputs(candidate, grid)).disturbance_term)
+                poles=getattr(exc, "poles", ()),
+            ) from exc
+        # the sources and H do not depend on the controller: evaluate them once
+        report, spectra = _decompose(candidate, inputs.closed_loop, grid, spectra)
+        terms.append(report.disturbance_term)
     deviation = max(terms) - min(terms) if terms else 0.0
     return IndependenceReport(
         disturbance_terms=tuple(terms),
@@ -328,7 +330,9 @@ def controller_independence_check(
 def export_integrands(inputs: RateInputs, target) -> None:
     """Write per-frequency integrand samples as CSV: columns omega, log_Syw,
     log_Fwy, disturbance_integrand."""
-    parts = _integrands(inputs.model, inputs.closed_loop, inputs.grid)
+    parts = _integrands(
+        LoopSpectra.evaluate(inputs.model, inputs.closed_loop, inputs.grid)
+    )
     own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
     fh = open(target, "w", newline="") if own else target
     try:
@@ -459,10 +463,9 @@ def run_identity_suite(
     for _ in range(n_cases):
         model = random_stabilized_loop(rng)
         inputs = RateInputs(model, grid)
-        report = decompose(inputs)
-        cl = inputs.closed_loop
-        sw, _, sy = _loop_spectra(model, cl, grid)
-        chain = gaussian_entropy_rate(sy) - gaussian_entropy_rate(sw)
+        report, spectra = _decompose(model, inputs.closed_loop, grid)
+        coarse = spectra.restricted(grid)
+        chain = gaussian_entropy_rate(coarse.sy) - gaussian_entropy_rate(coarse.sw)
         cases.append(
             SuiteCase(
                 model=model,

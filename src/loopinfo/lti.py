@@ -234,9 +234,37 @@ def freq_response(tf_: TransferFunction, omega: float) -> complex:
 
 def freq_response_array(tf_: TransferFunction, omegas: np.ndarray) -> np.ndarray:
     """Vectorized unit-circle response over an array of frequencies."""
-    e = np.exp(-1j * np.asarray(omegas, dtype=float))
-    num = npoly.polyval(e, tf_.num.coeffs)
-    den = npoly.polyval(e, tf_.den.coeffs)
+    omegas = np.asarray(omegas, dtype=float)
+    return unit_circle_response(tf_, np.exp(-1j * omegas), omegas)
+
+
+def _horner(points: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
+    """sum_k coeffs[k] * points**k by Horner's rule, in place.
+
+    The multiplies and adds are numpy polyval's, less its leading multiply
+    by zero, so the values agree bit for bit; skipped are the temporaries
+    and the casting of each real coefficient against the complex array.
+    """
+    if len(coeffs) == 1:
+        return np.full(points.shape, complex(coeffs[0]))
+    acc = points * coeffs[-1]
+    acc += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        acc *= points
+        acc += c
+    return acc
+
+
+def unit_circle_response(
+    tf_: TransferFunction, points: np.ndarray, omegas: np.ndarray
+) -> np.ndarray:
+    """num(e)/den(e) at precomputed unit-circle points e = e^{-j omega}.
+
+    omegas are the frequencies of the points; they only name the first
+    singular sample in the error.
+    """
+    num = _horner(points, tf_.num.coeffs)
+    den = _horner(points, tf_.den.coeffs)
     bad = np.abs(den) < 1e-12
     if np.any(bad):
         w = float(np.asarray(omegas)[bad][0])
@@ -289,7 +317,6 @@ class ClosedLoop:
 
     f_wy: channel noise w -> loop output y, equal to 1/(1 - L).
     f_vy: output disturbance v -> loop output y, equal to H/(1 - L).
-    sensitivity: same rational function as f_wy.
     char_poly: reduced numerator of 1 - L (delay-variable form); origin poles
     coming from delay excess appear in closed_loop_poles but have no
     delay-variable encoding.
@@ -297,7 +324,6 @@ class ClosedLoop:
 
     f_wy: TransferFunction
     f_vy: TransferFunction
-    sensitivity: TransferFunction
     char_poly: Polynomial
     closed_loop_poles: tuple[complex, ...]
     is_stable: bool
@@ -311,13 +337,17 @@ def close_loop(model: LoopModel) -> ClosedLoop:
         raise DegenerateLoopError("1 - P*K*H is identically zero")
     one_minus_l = TransferFunction(char_raw, den_l)
     f_wy = one_minus_l.reciprocal()
-    f_vy = model.feedback_filter * f_wy
+    # H/(1 - L) = H.num * P.den * K.den / (den_L - num_L), formed directly:
+    # H * f_wy would cancel H's poles against f_wy's numerator and rebuild
+    # both polynomials from computed roots, perturbing |f_vy| by ~1e-9.
+    f_vy = TransferFunction(
+        model.feedback_filter.num * model.plant.den * model.controller.den, char_raw
+    )
     poles = tuple(f_wy.poles())
     stable = all(abs(p) < 1.0 - STABILITY_MARGIN for p in poles)
     return ClosedLoop(
         f_wy=f_wy,
         f_vy=f_vy,
-        sensitivity=f_wy,
         char_poly=one_minus_l.num,
         closed_loop_poles=poles,
         is_stable=stable,

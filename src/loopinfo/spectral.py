@@ -12,7 +12,7 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -27,8 +27,9 @@ from .errors import (
 from .lti import (
     STABILITY_MARGIN,
     ClosedLoop,
+    LoopModel,
     TransferFunction,
-    freq_response_array,
+    unit_circle_response,
 )
 
 DEFAULT_GRID_POINTS = 4096
@@ -51,14 +52,36 @@ class FrequencyGrid:
                 f"grid size must be a power of two >= 64, got {n}"
             )
 
-    @cached_property
+    @property
     def omegas(self) -> np.ndarray:
-        w = -np.pi + 2.0 * np.pi * np.arange(self.n_points) / self.n_points
-        w.flags.writeable = False
-        return w
+        return _omegas(self.n_points)
+
+    @property
+    def unit_circle(self) -> np.ndarray:
+        """The points e^{-j omega}, at which every transfer function is evaluated."""
+        return _unit_circle(self.n_points)
 
     def doubled(self) -> "FrequencyGrid":
+        """The 2n-point grid, whose even-indexed samples are exactly this grid's."""
         return FrequencyGrid(2 * self.n_points)
+
+
+# Grids are rebuilt freely (doubled() makes a new one each call), so their
+# sample arrays are cached per size, read-only, for the last few sizes used.
+@lru_cache(maxsize=6)
+def _omegas(n: int) -> np.ndarray:
+    # 2*pi*k/n is exact up to one rounding that a power-of-two n does not
+    # change, so omegas(2n)[::2] == omegas(n) bit for bit.
+    w = -np.pi + 2.0 * np.pi * np.arange(n) / n
+    w.flags.writeable = False
+    return w
+
+
+@lru_cache(maxsize=6)
+def _unit_circle(n: int) -> np.ndarray:
+    e = np.exp(-1j * _omegas(n))
+    e.flags.writeable = False
+    return e
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +104,9 @@ class SpectrumSamples:
             raise InvalidInputError(
                 f"negative PSD value {v[k]!r} at omega={grid.omegas[k]!r}"
             )
-        mirrored = np.roll(v[::-1], 1)
-        if not np.allclose(v, mirrored, rtol=1e-9, atol=1e-300):
+        # v[k] must match its mirror v[n - k]; sample 0 is its own mirror
+        tail, mirror = v[1:], v[:0:-1]
+        if np.any(np.abs(tail - mirror) > 1e-300 + 1e-9 * mirror):
             raise InvalidInputError("spectrum is not even-symmetric on the grid")
         v = v.copy()
         v.flags.writeable = False
@@ -129,11 +153,19 @@ def colored(variance: float, shaping: TransferFunction) -> NoiseSpec:
     return NoiseSpec("colored", variance, shaping)
 
 
+def squared_gain(tf_: TransferFunction, grid: FrequencyGrid) -> np.ndarray:
+    """|tf(e^{-j omega})|^2 on the grid; a static gain c needs no evaluation."""
+    if tf_.num.degree == 0 and tf_.den.degree == 0:
+        c = tf_.num.coeffs[0] / tf_.den.coeffs[0]
+        return np.full(grid.n_points, c * c)
+    return np.abs(unit_circle_response(tf_, grid.unit_circle, grid.omegas)) ** 2
+
+
 def noise_psd(spec: NoiseSpec, grid: FrequencyGrid) -> SpectrumSamples:
     """PSD of the source on the grid: sigma^2, or sigma^2 * |G|^2."""
     if spec.kind == "white":
         return SpectrumSamples(grid, np.full(grid.n_points, spec.variance))
-    g = freq_response_array(spec.shaping, grid.omegas)
+    g = unit_circle_response(spec.shaping, grid.unit_circle, grid.omegas)
     mag = np.abs(g)
     if np.any(mag <= 1e-9):
         k = int(np.argmin(mag))
@@ -152,15 +184,72 @@ def output_psd(
         raise InvalidInputError(
             f"mismatched grids: {sw.grid.n_points} vs {sv.grid.n_points} points"
         )
+    fwy, fvy = _closed_loop_gains(cl, sw.grid)
+    return SpectrumSamples(sw.grid, fwy * sw.values + fvy * sv.values)
+
+
+def _closed_loop_gains(cl: ClosedLoop, grid: FrequencyGrid):
+    """|F_wy|^2 and |F_vy|^2 on the grid; F_vy equals F_wy when H = 1."""
     if not cl.is_stable:
         raise UnstableLoopError(
             "output PSD is defined only for a stable loop",
             poles=[p for p in cl.closed_loop_poles if abs(p) >= 1.0 - STABILITY_MARGIN],
         )
-    omegas = sw.grid.omegas
-    fwy = np.abs(freq_response_array(cl.f_wy, omegas)) ** 2
-    fvy = np.abs(freq_response_array(cl.f_vy, omegas)) ** 2
-    return SpectrumSamples(sw.grid, fwy * sw.values + fvy * sv.values)
+    fwy = squared_gain(cl.f_wy, grid)
+    fvy = fwy if cl.f_vy == cl.f_wy else squared_gain(cl.f_vy, grid)
+    return fwy, fvy
+
+
+@dataclass(frozen=True, eq=False)
+class LoopSpectra:
+    """A loop's spectra on one grid, each transfer function evaluated once.
+
+    sw and sv are the source PSDs; h2, fwy2 and fvy2 the squared gains |H|^2,
+    |F_wy|^2 and |F_vy|^2. Every quantity the rate, its split and the entropy
+    route need is formed from these arrays.
+    """
+
+    sw: SpectrumSamples
+    sv: SpectrumSamples
+    h2: np.ndarray
+    fwy2: np.ndarray
+    fvy2: np.ndarray
+
+    @classmethod
+    def evaluate(
+        cls, model: LoopModel, cl: ClosedLoop, grid: FrequencyGrid
+    ) -> "LoopSpectra":
+        sw = noise_psd(model.channel_noise, grid)
+        sv = noise_psd(model.output_disturbance, grid)
+        h2 = squared_gain(model.feedback_filter, grid)
+        return cls(sw, sv, h2, *_closed_loop_gains(cl, grid))
+
+    def with_closed_loop(self, cl: ClosedLoop) -> "LoopSpectra":
+        """The same sources and H closed by another controller."""
+        gains = _closed_loop_gains(cl, self.grid)
+        return LoopSpectra(self.sw, self.sv, self.h2, *gains)
+
+    def restricted(self, grid: FrequencyGrid) -> "LoopSpectra":
+        """The samples at the points of a grid no finer than this one; being
+        powers of two, its points are every k-th point of this grid."""
+        step = self.grid.n_points // grid.n_points
+        return LoopSpectra(
+            SpectrumSamples(grid, self.sw.values[::step]),
+            SpectrumSamples(grid, self.sv.values[::step]),
+            self.h2[::step],
+            self.fwy2[::step],
+            self.fvy2[::step],
+        )
+
+    @property
+    def grid(self) -> FrequencyGrid:
+        return self.sw.grid
+
+    @cached_property
+    def sy(self) -> SpectrumSamples:
+        """Loop-output PSD: |F_wy|^2 * S_W + |F_vy|^2 * S_V."""
+        values = self.fwy2 * self.sw.values + self.fvy2 * self.sv.values
+        return SpectrumSamples(self.grid, values)
 
 
 def sensitivity_ratio(sa: SpectrumSamples, sb: SpectrumSamples) -> SpectrumSamples:

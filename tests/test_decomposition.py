@@ -25,12 +25,17 @@ from loopinfo import (
     directed_info_rate,
     gaussian_entropy_rate,
     integrands_csv_string,
+    log_integral,
     noise_psd,
+    output_psd,
+    pole_placement_controller,
     run_identity_suite,
+    sensitivity_ratio,
     tf,
     white,
     white_noise_disturbance_term,
 )
+from loopinfo import spectral
 from loopinfo.lti import TF_ONE, TF_ZERO
 
 LN2 = math.log(2.0)
@@ -182,22 +187,133 @@ def test_report_invariants_enforced():
         )
 
 
+DYNAMIC_PLANT = tf([0.0, 1.0], [1.0, -2.0])
+DYNAMIC_H = tf([1.0, 0.5], [1.0, -0.3])
+
+
+def placed_controller(targets):
+    return pole_placement_controller(DYNAMIC_PLANT * DYNAMIC_H, targets)
+
+
+def colored_dynamic_h_model():
+    """A loop with every evaluated transfer function distinct: dynamic H,
+    colored channel noise and colored disturbance."""
+    return LoopModel(
+        DYNAMIC_PLANT,
+        placed_controller([0.1, 0.2, -0.3]),
+        DYNAMIC_H,
+        colored(0.8, tf([1.0, -0.4])),
+        colored(1.5, tf([1.0], [1.0, -0.6])),
+    )
+
+
+@pytest.mark.parametrize("kind", ["white", "colored"])
+def test_decompose_total_equals_direct_route_exactly(worked_model, kind):
+    """The reported rate comes from the even samples of the doubled-grid
+    evaluation; they are the requested grid's samples bit for bit."""
+    model = worked_model if kind == "white" else colored_dynamic_h_model()
+    grid = FrequencyGrid(1024)
+    rep = decompose(RateInputs(model, grid))
+    sw = noise_psd(model.channel_noise, grid)
+    sv = noise_psd(model.output_disturbance, grid)
+    sy = output_psd(close_loop(model), sw, sv)
+    assert rep.total_rate == log_integral(sensitivity_ratio(sy, sw))
+
+
+def _count_evaluations(monkeypatch):
+    calls = []
+    real = spectral.unit_circle_response
+
+    def counting(tf_, points, omegas):
+        calls.append((tf_, len(points)))
+        return real(tf_, points, omegas)
+
+    monkeypatch.setattr(spectral, "unit_circle_response", counting)
+    return calls
+
+
+def _times_evaluated(calls, tf_):
+    return sum(1 for f, _ in calls if f is tf_)
+
+
+def test_decompose_evaluates_each_transfer_function_once(monkeypatch):
+    model = colored_dynamic_h_model()
+    inputs = RateInputs(model, FrequencyGrid(512))
+    cl = inputs.closed_loop
+    calls = _count_evaluations(monkeypatch)
+    decompose(inputs)
+    evaluated = (
+        cl.f_wy,
+        cl.f_vy,
+        model.feedback_filter,
+        model.channel_noise.shaping,
+        model.output_disturbance.shaping,
+    )
+    for f in evaluated:
+        assert _times_evaluated(calls, f) == 1
+    assert len(calls) == len(evaluated)
+    assert all(n == 1024 for _, n in calls)  # the doubled grid only
+
+
+def test_independence_check_evaluates_sources_once(monkeypatch):
+    model = colored_dynamic_h_model()
+    controllers = [
+        placed_controller(targets)
+        for targets in ([0.1, 0.2, -0.3], [0.0, 0.4, 0.5], [-0.2, 0.3j, -0.3j])
+    ]
+    calls = _count_evaluations(monkeypatch)
+    report = controller_independence_check(model, controllers, FrequencyGrid(512))
+    assert report.passed
+    for f in (
+        model.feedback_filter,
+        model.channel_noise.shaping,
+        model.output_disturbance.shaping,
+    ):
+        assert _times_evaluated(calls, f) == 1
+    assert len(calls) == 3 + 2 * len(controllers)  # F_wy and F_vy per controller
+
+
+def test_dynamic_h_disturbance_forms_agree_regression():
+    """A loop whose F_vy, formed as H * F_wy, lost ~2e-9 of relative accuracy
+    when H's pole cancelled against F_wy's numerator, so the two
+    disturbance-integrand forms differed by 1.05e-10 and decompose raised
+    ConsistencyError."""
+    model = LoopModel(
+        tf([0.0, 1.8025698696005552, 0.4385020310354182],
+           [1.0, 0.5405927403462881, -0.09021457719775813, -0.04031893346700497]),
+        tf([-0.32808288916146855, -0.39486196641305554,
+            -0.15086700736778913, -0.018108073648656155],
+           [1.0, 0.7429823163116535, 0.04759066951202291, -0.017744166463686175]),
+        tf([1.0, 0.7898175287685162], [1.0, 0.407769016102593]),
+        colored(0.59405389160713, tf([1.0, -0.2662902379128178])),
+        colored(1.3761916969845562, tf([1.0], [1.0, 0.029071230870072462])),
+    )
+    grid = FrequencyGrid(4096)
+    cl = close_loop(model)
+    h2 = spectral.squared_gain(model.feedback_filter, grid)
+    fwy2 = spectral.squared_gain(cl.f_wy, grid)
+    fvy2 = spectral.squared_gain(cl.f_vy, grid)
+    assert np.max(np.abs(fvy2 / (h2 * fwy2) - 1.0)) < 1e-12
+    rep = decompose(RateInputs(model, grid))
+    assert abs(rep.residual) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 
 
 def test_bode_term_analytic_values(worked_model):
-    cl = close_loop(worked_model)
-    assert bode_term_analytic(cl, worked_model.plant) == pytest.approx(LN2)
+    assert bode_term_analytic(worked_model) == pytest.approx(LN2)
     stable = LoopModel(
         tf([0.0, 1.0], [1.0, -0.5]), tf([-0.3]), TF_ONE, white(1.0), white(1.0)
     )
-    assert bode_term_analytic(close_loop(stable), stable.plant) == 0.0
+    assert bode_term_analytic(stable) == 0.0
     two_poles = tf([0.0, 1.0], [1.0, 1.0, -6.0])  # poles {2, -3}
     m = LoopModel(two_poles, tf([0.0]), TF_ONE, white(1.0), white(1.0))
-    assert bode_term_analytic(close_loop(m), two_poles) == pytest.approx(
-        math.log(2) + math.log(3)
-    )
+    assert bode_term_analytic(m) == pytest.approx(math.log(2) + math.log(3))
+    # an unstable controller pole (z = 3) counts as well as the plant's
+    unstable_k = replace(worked_model, controller=tf([0.5], [1.0, -3.0]))
+    assert bode_term_analytic(unstable_k) == pytest.approx(LN2 + math.log(3))
 
 
 def test_white_noise_disturbance_term_values():
@@ -266,15 +382,15 @@ def test_integrand_csv_identity_holds_rowwise(worked_model):
 def test_identity_suite_invariants():
     cases = run_identity_suite(40, seed=123)
     assert len(cases) == 40
-    saw_stable_controller = False
+    saw_unstable_controller = False
     for case in cases:
         rep = case.report
         assert abs(rep.residual) < 1e-8
         assert case.proof_chain_gap < 1e-10
         assert rep.disturbance_term >= -1e-12
         assert rep.total_rate >= rep.control_term - 1e-8
-        # the sensitivity quadrature counts every unstable loop-factor pole;
-        # bode_analytic reports the plant's share
+        # the sensitivity quadrature and bode_analytic both count every
+        # unstable loop-factor pole, the controller's included
         m = case.model
         full = sum(
             math.log(abs(p))
@@ -283,14 +399,13 @@ def test_identity_suite_invariants():
             if abs(p) > 1.0
         )
         assert rep.control_term == pytest.approx(full, abs=1e-6)
+        assert rep.bode_analytic == full
         plant_only = sum(
             math.log(abs(p)) for p in m.plant.poles() if abs(p) > 1.0
         )
-        assert rep.bode_analytic == pytest.approx(plant_only, abs=1e-9)
-        if full == plant_only:
-            saw_stable_controller = True
-            assert rep.control_term == pytest.approx(rep.bode_analytic, abs=1e-6)
-    assert saw_stable_controller
+        if full != plant_only:
+            saw_unstable_controller = True
+    assert saw_unstable_controller
 
 
 def test_identity_suite_is_seeded():
