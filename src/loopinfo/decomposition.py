@@ -9,7 +9,6 @@ sum of ln max(1, |pole|) and (1/2) ln(1 + sigma_v^2/sigma_w^2).
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -43,6 +42,7 @@ from .spectral import (
     LoopSpectra,
     NoiseSpec,
     SpectrumSamples,
+    _write_csv,
     colored,
     log_integral,
     sensitivity_ratio,
@@ -333,18 +333,12 @@ def export_integrands(inputs: RateInputs, target) -> None:
     parts = _integrands(
         LoopSpectra.evaluate(inputs.model, inputs.closed_loop, inputs.grid)
     )
-    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    fh = open(target, "w", newline="") if own else target
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["omega", "log_Syw", "log_Fwy", "disturbance_integrand"])
-        for row in zip(
-            inputs.grid.omegas, parts.log_ratio, parts.log_fwy, parts.disturbance
-        ):
-            writer.writerow([f"{x:.12g}" for x in row])
-    finally:
-        if own:
-            fh.close()
+    columns = (inputs.grid.omegas, parts.log_ratio, parts.log_fwy, parts.disturbance)
+    _write_csv(
+        target,
+        ["omega", "log_Syw", "log_Fwy", "disturbance_integrand"],
+        ([f"{x:.12g}" for x in row] for row in zip(*columns)),
+    )
 
 
 def integrands_csv_string(inputs: RateInputs) -> str:

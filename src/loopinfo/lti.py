@@ -9,7 +9,6 @@ constant term.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -221,17 +220,6 @@ TF_ONE = tf([1.0])
 TF_ZERO = tf([0.0])
 
 
-def freq_response(tf_: TransferFunction, omega: float) -> complex:
-    """Evaluate num(e^{-j omega}) / den(e^{-j omega})."""
-    e = cmath.exp(-1j * omega)
-    d = tf_.den(e)
-    if abs(d) < 1e-12:
-        raise SingularityError(
-            f"denominator vanishes on the unit circle at omega={omega!r}", omega=omega
-        )
-    return tf_.num(e) / d
-
-
 def freq_response_array(tf_: TransferFunction, omegas: np.ndarray) -> np.ndarray:
     """Vectorized unit-circle response over an array of frequencies."""
     omegas = np.asarray(omegas, dtype=float)
@@ -317,14 +305,12 @@ class ClosedLoop:
 
     f_wy: channel noise w -> loop output y, equal to 1/(1 - L).
     f_vy: output disturbance v -> loop output y, equal to H/(1 - L).
-    char_poly: reduced numerator of 1 - L (delay-variable form); origin poles
-    coming from delay excess appear in closed_loop_poles but have no
-    delay-variable encoding.
+    closed_loop_poles are the poles of f_wy, origin poles from delay excess
+    included.
     """
 
     f_wy: TransferFunction
     f_vy: TransferFunction
-    char_poly: Polynomial
     closed_loop_poles: tuple[complex, ...]
     is_stable: bool
 
@@ -335,8 +321,7 @@ def close_loop(model: LoopModel) -> ClosedLoop:
     char_raw = den_l - num_l
     if char_raw.is_zero:
         raise DegenerateLoopError("1 - P*K*H is identically zero")
-    one_minus_l = TransferFunction(char_raw, den_l)
-    f_wy = one_minus_l.reciprocal()
+    f_wy = TransferFunction(den_l, char_raw)
     # H/(1 - L) = H.num * P.den * K.den / (den_L - num_L), formed directly:
     # H * f_wy would cancel H's poles against f_wy's numerator and rebuild
     # both polynomials from computed roots, perturbing |f_vy| by ~1e-9.
@@ -348,7 +333,6 @@ def close_loop(model: LoopModel) -> ClosedLoop:
     return ClosedLoop(
         f_wy=f_wy,
         f_vy=f_vy,
-        char_poly=one_minus_l.num,
         closed_loop_poles=poles,
         is_stable=stable,
     )

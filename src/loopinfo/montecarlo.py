@@ -10,18 +10,23 @@ log-integral engine as the analytic path.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DivergenceError, InvalidInputError
 from .lti import LoopModel, TransferFunction
-from .spectral import FrequencyGrid, NoiseSpec, SpectrumSamples, log_integral, sensitivity_ratio
+from .spectral import (
+    FrequencyGrid,
+    NoiseSpec,
+    SpectrumSamples,
+    _write_csv,
+    log_integral,
+    sensitivity_ratio,
+)
 from .decomposition import RateInputs, decompose
 
 DIVERGENCE_LIMIT = 1e12
@@ -78,18 +83,11 @@ class TrajectorySet:
         object.__setattr__(self, "sample_count", int(sample_count))
 
     def to_csv(self, target) -> None:
-        own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-        fh = open(target, "w", newline="") if own else target
-        try:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "w", "v", "z", "y", "u"])
-            for t in range(self.sample_count):
-                writer.writerow(
-                    [t] + [f"{s[t]:.12g}" for s in (self.w, self.v, self.z, self.y, self.u)]
-                )
-        finally:
-            if own:
-                fh.close()
+        signals = (self.w, self.v, self.z, self.y, self.u)
+        rows = (
+            [t] + [f"{s[t]:.12g}" for s in signals] for t in range(self.sample_count)
+        )
+        _write_csv(target, ["t", "w", "v", "z", "y", "u"], rows)
 
 
 @dataclass(frozen=True)
@@ -147,10 +145,11 @@ class _Df2t:
 
 
 def _shaped_noise(spec: NoiseSpec, eps: np.ndarray) -> np.ndarray:
-    if spec.kind == "white":
-        return math.sqrt(spec.variance) * eps
     driven = math.sqrt(spec.variance) * eps
-    return lfilter(spec.shaping.num.coeffs, spec.shaping.den.coeffs, driven)
+    if spec.kind == "white":
+        return driven
+    step = _Df2t(spec.shaping).step
+    return np.array([step(x) for x in driven.tolist()])
 
 
 def simulate_loop(cfg: SimulationConfig) -> TrajectorySet:

@@ -307,18 +307,24 @@ def log_integral_convergence(
     return coarse, abs(fine - coarse)
 
 
-def spectrum_to_csv(s: SpectrumSamples, target) -> None:
-    """Write the spectrum as CSV (columns omega, value) to a path or file object."""
+def _write_csv(target, header, rows) -> None:
+    """Write a header and rows as CSV to a path (opened and closed here) or
+    to an open file object (left open)."""
     own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
     fh = open(target, "w", newline="") if own else target
     try:
         writer = csv.writer(fh)
-        writer.writerow(["omega", "value"])
-        for w, v in zip(s.grid.omegas, s.values):
-            writer.writerow([f"{w:.12g}", f"{v:.12g}"])
+        writer.writerow(header)
+        writer.writerows(rows)
     finally:
         if own:
             fh.close()
+
+
+def spectrum_to_csv(s: SpectrumSamples, target) -> None:
+    """Write the spectrum as CSV (columns omega, value) to a path or file object."""
+    rows = ([f"{w:.12g}", f"{v:.12g}"] for w, v in zip(s.grid.omegas, s.values))
+    _write_csv(target, ["omega", "value"], rows)
 
 
 def spectrum_csv_string(s: SpectrumSamples) -> str:

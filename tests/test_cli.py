@@ -18,6 +18,17 @@ def run_cli(*args, **kwargs):
     )
 
 
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, loopinfo.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.fixture
 def loop_config(tmp_path):
     cfg = {

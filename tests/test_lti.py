@@ -9,7 +9,6 @@ from loopinfo import (
     LoopModel,
     SingularityError,
     close_loop,
-    freq_response,
     freq_response_array,
     is_stabilizing,
     pole_placement_controller,
@@ -104,10 +103,10 @@ def test_tf_cancellation_near_origin_preserves_value():
     den = Polynomial([1.0, -0.5]) * Polynomial([1.0, 1e-15])
     t = tf(num.coeffs, den.coeffs)
     assert t.num.degree == 1 and t.den.degree == 1
-    for w in (0.0, 1.0, np.pi):
-        z = np.exp(-1j * w)
-        expect = (1.0 - 2.0 * z) / (1.0 - 0.5 * z)
-        assert freq_response(t, w) == pytest.approx(expect, abs=1e-9)
+    omegas = np.array([0.0, 1.0, np.pi])
+    z = np.exp(-1j * omegas)
+    expect = (1.0 - 2.0 * z) / (1.0 - 0.5 * z)
+    assert freq_response_array(t, omegas) == pytest.approx(expect, abs=1e-9)
 
 
 def test_tf_reduction_preserves_response_on_random_pairs():
@@ -153,12 +152,14 @@ def test_tf_product_and_reciprocal():
     a = tf([0.0, 1.0], [1.0, -0.5])
     b = tf([2.0], [1.0, 0.25])
     prod = a * b
-    for w in (0.3, 2.0):
-        assert freq_response(prod, w) == pytest.approx(
-            freq_response(a, w) * freq_response(b, w)
-        )
+    omegas = np.array([0.3, 2.0])
+    assert freq_response_array(prod, omegas) == pytest.approx(
+        freq_response_array(a, omegas) * freq_response_array(b, omegas)
+    )
     flipped = b.reciprocal()
-    assert freq_response(flipped, 0.7) == pytest.approx(1.0 / freq_response(b, 0.7))
+    assert freq_response_array(flipped, omegas) == pytest.approx(
+        1.0 / freq_response_array(b, omegas)
+    )
     with pytest.raises(InvalidInputError):
         a.reciprocal()  # inverse of a strict delay is non-causal
 
@@ -173,14 +174,6 @@ def test_poles_and_zeros_with_origin_padding():
     t2 = tf([0.0, 1.0, -0.25], [1.0, -0.5, 0.0, 0.1])
     zs = t2.zeros()
     assert any(abs(z - 0.25) < 1e-9 for z in zs)
-
-
-def test_freq_response_matches_array_version():
-    t = tf([0.0, 1.0], [1.0, -0.5])
-    omegas = np.array([0.0, 1.0, np.pi])
-    arr = freq_response_array(t, omegas)
-    for w, val in zip(omegas, arr):
-        assert freq_response(t, float(w)) == pytest.approx(val)
 
 
 def test_freq_response_array_equals_polyval_reference_bitwise():
@@ -203,7 +196,7 @@ def test_freq_response_array_equals_polyval_reference_bitwise():
 def test_freq_response_pole_on_unit_circle():
     t = tf([1.0], [1.0, -1.0])
     with pytest.raises(SingularityError):
-        freq_response(t, 0.0)
+        freq_response_array(t, np.array([0.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from loopinfo import (
     ComparisonRecord,
@@ -181,6 +182,36 @@ def test_welch_colored_spectrum_shape():
     assert s.values[i0] == pytest.approx(4.0, rel=0.12)
     assert s.values[0] == pytest.approx(4.0 / 9.0, rel=0.12)
     assert float(np.mean(s.values)) == pytest.approx(4.0 / 3.0, rel=0.03)
+
+
+def test_shaped_noise_one_pole_is_the_explicit_recursion():
+    from loopinfo.montecarlo import _shaped_noise
+
+    c = 0.9
+    eps = np.random.Generator(np.random.Philox(2)).standard_normal(4096)
+    got = _shaped_noise(colored(2.0, tf([1.0], [1.0, -c])), eps)
+    x = math.sqrt(2.0) * eps
+    want = np.empty_like(x)
+    prev = 0.0
+    for t in range(len(x)):
+        prev = x[t] + c * prev
+        want[t] = prev
+    assert np.array_equal(got, want)
+
+
+def test_shaped_noise_arma_matches_impulse_response_convolution():
+    from loopinfo.montecarlo import _shaped_noise
+
+    num, den = [1.0, 0.4, -0.3], [1.0, -1.2, 0.72]  # poles 0.6 +- 0.6j, |p| ~ 0.85
+    eps = np.random.Generator(np.random.Philox(3)).standard_normal(4096)
+    got = _shaped_noise(colored(0.5, tf(num, den)), eps)
+    # impulse response as the inverse FFT of the frequency response on 1024
+    # points; the aliased tail is ~0.85^1024, far below rounding
+    n = 1024
+    d = np.exp(-2j * np.pi * np.arange(n) / n)
+    h = np.fft.ifft(npoly.polyval(d, num) / npoly.polyval(d, den)).real
+    want = np.convolve(math.sqrt(0.5) * eps, h)[: len(eps)]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_welch_rejects_short_input():
