@@ -1,11 +1,14 @@
 """Time-domain validation of the analytic rate via loop simulation.
 
-The loop is run as a literal sample-by-sample recursion through the plant,
-feedback filter, and controller (direct-form II transposed states), never
-through the closed-form maps the analytic path uses — agreement between the
-two routes is then an actual check, not a tautology. Spectra of the recorded
-trajectories are estimated with Welch's method and pushed through the same
-log-integral engine as the analytic path.
+The loop is run as the per-element recursion through the noise-shaping
+filters, plant, feedback filter, and controller (direct-form II transposed
+states), never through the closed-form maps the analytic path uses (no
+close_loop) — agreement between the two routes is then an actual check, not
+a tautology. The recursion is advanced 64 samples per step: the block maps
+are its own responses over 64 steps, taken by stepping it from unit states
+and unit innovations (lifting). Spectra of the recorded trajectories are
+estimated with Welch's method and pushed through the same log-integral
+engine as the analytic path.
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InvalidInputError
-from .lti import LoopModel, TransferFunction
+from .lti import TF_ONE, LoopModel, TransferFunction
 from .spectral import (
     FrequencyGrid,
-    NoiseSpec,
     SpectrumSamples,
     _write_csv,
     log_integral,
@@ -32,6 +34,8 @@ from .decomposition import RateInputs, decompose
 DIVERGENCE_LIMIT = 1e12
 
 PSD_FLOOR = 1e-12
+
+_BLOCK = 64  # samples advanced per step of the lifted recursion
 
 
 @dataclass(frozen=True)
@@ -109,33 +113,35 @@ class WelchParams:
 
 
 class _Df2t:
-    """Direct-form II transposed realization of one transfer function."""
+    """Direct-form II transposed realization of one transfer function.
 
-    __slots__ = ("b", "a", "s")
+    The state is held by the caller, one row per delay and one column per
+    trajectory, so a single step advances a whole batch of trajectories.
+    """
 
-    def __init__(self, tf_: TransferFunction, state=None):
+    __slots__ = ("b", "a")
+
+    def __init__(self, tf_: TransferFunction):
         b = list(tf_.num.coeffs)
         a = list(tf_.den.coeffs)
         a0 = a[0]
         m = max(len(b), len(a)) - 1
         self.b = [x / a0 for x in b] + [0.0] * (m + 1 - len(b))
         self.a = [x / a0 for x in a] + [0.0] * (m + 1 - len(a))
-        self.s = list(state) if state is not None else [0.0] * m
-        if len(self.s) != m:
-            raise InvalidInputError(f"expected {m} initial states, got {len(self.s)}")
 
     @property
     def order(self) -> int:
-        return len(self.s)
+        return len(self.b) - 1
 
-    @property
-    def pending(self) -> float:
-        """The part of the next output already fixed by the past."""
-        return self.s[0] if self.s else 0.0
+    def pending(self, s: np.ndarray):
+        """The part of the next output already fixed by the past (a copy:
+        the state row is overwritten later in the same loop step)."""
+        return s[0].copy() if self.order else 0.0
 
-    def step(self, x: float) -> float:
-        b, a, s = self.b, self.a, self.s
-        m = len(s)
+    def step(self, s: np.ndarray, x):
+        """Output for input x; advances the state rows s in place."""
+        b, a = self.b, self.a
+        m = len(b) - 1
         y = b[0] * x + (s[0] if m else 0.0)
         for i in range(m - 1):
             s[i] = b[i + 1] * x - a[i + 1] * y + s[i + 1]
@@ -144,12 +150,100 @@ class _Df2t:
         return y
 
 
-def _shaped_noise(spec: NoiseSpec, eps: np.ndarray) -> np.ndarray:
-    driven = math.sqrt(spec.variance) * eps
-    if spec.kind == "white":
-        return driven
-    step = _Df2t(spec.shaping).step
-    return np.array([step(x) for x in driven.tolist()])
+def _loop_step(model: LoopModel):
+    """The per-sample loop recursion as step(x, e) -> (w, v, z, u).
+
+    x holds the state rows: the shaping filters of w and of v, then plant,
+    feedback filter and controller (the initial_state order); e holds the
+    driven innovations of w and v. Returns step and the five state counts.
+    """
+    shape_w, shape_v = (
+        _Df2t(spec.shaping if spec.kind == "colored" else TF_ONE)
+        for spec in (model.channel_noise, model.output_disturbance)
+    )
+    fp, fh, fk = (
+        _Df2t(f) for f in (model.plant, model.feedback_filter, model.controller)
+    )
+    if fp.b[0] != 0.0:
+        if fk.b[0] == 0.0:
+            order = "k_first"
+        elif fh.b[0] == 0.0:
+            order = "h_first"
+        else:
+            raise InvalidInputError(
+                "no exactly-zero feedthrough in P, K, H; the loop recursion "
+                "needs one strictly proper element"
+            )
+    else:
+        order = "p_first"
+    orders = [f.order for f in (shape_w, shape_v, fp, fh, fk)]
+    ends = np.cumsum(orders).tolist()
+    rows = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
+
+    def step(x, e):
+        sw, sv, sp, sh, sk = (x[r] for r in rows)
+        wt = shape_w.step(sw, e[0])
+        vt = shape_v.step(sv, e[1])
+        if order == "p_first":
+            pt = fp.pending(sp)  # gp == 0: plant output ignores u_t
+            zt = fh.step(sh, pt + vt)
+            ut = fk.step(sk, zt + wt)
+            fp.step(sp, ut)
+        elif order == "k_first":
+            ut = fk.pending(sk)  # gk == 0
+            zt = fh.step(sh, fp.step(sp, ut) + vt)
+            fk.step(sk, zt + wt)
+        else:
+            zt = fh.pending(sh)  # gh == 0
+            ut = fk.step(sk, zt + wt)
+            fh.step(sh, fp.step(sp, ut) + vt)
+        return wt, vt, zt, ut
+
+    return step, orders
+
+
+def _lifted_run(step, x0: np.ndarray, drive: np.ndarray) -> list[np.ndarray]:
+    """Run the recursion _BLOCK (64) samples per step; returns w, v, z, u.
+
+    drive holds the innovations of w and of v, shaped (2, blocks, _BLOCK).
+    The block maps come from stepping the recursion itself over one block:
+    from each unit state (the free responses, whose final states form the
+    carry, the state map over one block) and from a unit innovation of w,
+    then of v, at each sample of the block (the Markov Toeplitz blocks and
+    the innovation-to-state columns). Powers of a probed A would lose accuracy on loops with large
+    transient gain. Zero padding at the end of the last block never reaches
+    an earlier sample, because the recursion is causal.
+    """
+    T = _BLOCK
+    nx = len(x0)
+    x = np.zeros((nx, nx + 2 * T))
+    x[:, :nx] = np.eye(nx)
+    resp = np.empty((4, T, nx + 2 * T))
+    for t in range(T):
+        e = np.zeros((2, nx + 2 * T))
+        e[0, nx + t] = e[1, nx + T + t] = 1.0
+        for c, sig in enumerate(step(x, e)):
+            resp[c, t] = sig
+    carry = x[:, :nx]
+    inputs = [slice(nx + j * T, nx + (j + 1) * T) for j in (0, 1)]
+
+    kick = sum(d @ x[:, i].T for d, i in zip(drive, inputs))
+    starts = []
+    xk = x0
+    for g in kick:
+        starts.append(xk)
+        xk = carry.dot(xk) + g
+    starts = np.array(starts)
+
+    out = []
+    for r in resp:
+        sig = np.empty(drive[0].size)
+        view = sig.reshape(-1, T)
+        np.matmul(starts, r[:, :nx].T, out=view)
+        for d, i in zip(drive, inputs):
+            view += d @ r[:, i].T
+        out.append(sig)
+    return out
 
 
 def simulate_loop(cfg: SimulationConfig) -> TrajectorySet:
@@ -158,25 +252,13 @@ def simulate_loop(cfg: SimulationConfig) -> TrajectorySet:
     Per sample: the one strictly proper element of (P, K, H) breaks the
     algebraic loop, fixing the update order; noise innovations are drawn
     once up front (w first, then v) from a Philox stream keyed by the seed,
-    so trajectories are bit-reproducible for a given seed.
+    so trajectories are bit-reproducible for a given seed. The recursion is
+    advanced 64 samples at a time (see _lifted_run).
     """
     model = cfg.model
     n = cfg.n_samples
-
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    w_sig = _shaped_noise(model.channel_noise, rng.standard_normal(n))
-    v_sig = _shaped_noise(model.output_disturbance, rng.standard_normal(n))
-    for name, sig in (("w", w_sig), ("v", v_sig)):
-        if not np.all(np.isfinite(sig)) or np.max(np.abs(sig), initial=0.0) > DIVERGENCE_LIMIT:
-            raise DivergenceError(f"noise signal {name} diverged during shaping")
-
-    plant = model.plant
-    ctrl = model.controller
-    fb = model.feedback_filter
-
-    orders = [
-        max(len(f.num.coeffs), len(f.den.coeffs)) - 1 for f in (plant, fb, ctrl)
-    ]
+    step, orders = _loop_step(model)
+    shaping, orders = orders[:2], orders[2:]
     total = sum(orders)
     x0 = model.initial_state
     if len(x0) == 0:
@@ -187,60 +269,34 @@ def simulate_loop(cfg: SimulationConfig) -> TrajectorySet:
             f"(plant {orders[0]}, feedback {orders[1]}, controller {orders[2]}), "
             f"got {len(x0)}"
         )
-    fp = _Df2t(plant, x0[: orders[0]])
-    fh = _Df2t(fb, x0[orders[0] : orders[0] + orders[1]])
-    fk = _Df2t(ctrl, x0[orders[0] + orders[1] :])
+    x0 = np.concatenate([np.zeros(sum(shaping)), x0])
 
-    gp, gh, gk = fp.b[0], fh.b[0], fk.b[0]
-    if gp != 0.0:
-        if gk == 0.0:
-            order = "k_first"
-        elif gh == 0.0:
-            order = "h_first"
-        else:
-            raise InvalidInputError(
-                "no exactly-zero feedthrough in P, K, H; the loop recursion "
-                "needs one strictly proper element"
-            )
-    else:
-        order = "p_first"
-
-    y_out = np.empty(n)
-    z_out = np.empty(n)
-    u_out = np.empty(n)
-    limit = DIVERGENCE_LIMIT
-
-    for t in range(n):
-        wt = w_sig[t]
-        vt = v_sig[t]
-        if order == "p_first":
-            pt = fp.pending  # gp == 0: plant output ignores u_t
-            zt = fh.step(pt + vt)
-            yt = zt + wt
-            ut = fk.step(yt)
-            fp.step(ut)
-        elif order == "k_first":
-            ut = fk.pending  # gk == 0
-            pt = fp.step(ut)
-            zt = fh.step(pt + vt)
-            yt = zt + wt
-            fk.step(yt)
-        else:
-            zt = fh.pending  # gh == 0
-            yt = zt + wt
-            ut = fk.step(yt)
-            pt = fp.step(ut)
-            fh.step(pt + vt)
-        y_out[t] = yt
-        z_out[t] = zt
-        u_out[t] = ut
-        if not (abs(yt) <= limit and abs(ut) <= limit):
-            raise DivergenceError(
-                f"signal magnitude exceeded {limit:g} at sample {t} "
-                "(non-stabilizing configuration or numerical blow-up)",
-                index=t,
-                value=yt if abs(yt) > limit else ut,
-            )
+    blocks = -(-n // _BLOCK)
+    drive = np.zeros((2, blocks, _BLOCK))
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    for d, spec in zip(drive, (model.channel_noise, model.output_disturbance)):
+        eps = d.reshape(-1)[:n]
+        rng.standard_normal(out=eps)
+        eps *= math.sqrt(spec.variance)
+    with np.errstate(all="ignore"):
+        w_sig, v_sig, z_out, u_out = (s[:n] for s in _lifted_run(step, x0, drive))
+        y_out = z_out + w_sig
+        limit = DIVERGENCE_LIMIT
+        # w and v hold NaN only after a loop state overflowed (0 * inf in the
+        # carry); that is the loop's divergence, reported below
+        for name, sig in (("w", w_sig), ("v", v_sig)):
+            if np.any(np.abs(sig) > limit):
+                raise DivergenceError(f"noise signal {name} diverged during shaping")
+        bad = ~((np.abs(y_out) <= limit) & (np.abs(u_out) <= limit))
+    if bad.any():
+        t = int(np.argmax(bad))
+        yt, ut = y_out[t], u_out[t]
+        raise DivergenceError(
+            f"signal magnitude exceeded {limit:g} at sample {t} "
+            "(non-stabilizing configuration or numerical blow-up)",
+            index=t,
+            value=yt if abs(yt) > limit else ut,
+        )
 
     k = cfg.burn_in
     kept = n - k
@@ -271,13 +327,9 @@ def welch_psd(
     scale = np.sum(win**2)
     hop = max(1, int(round(nseg * (1.0 - params.overlap_fraction))))
 
-    acc = np.zeros(nseg // 2 + 1)
-    count = 0
-    for start in range(0, len(x) - nseg + 1, hop):
-        seg = x[start : start + nseg] * win
-        acc += np.abs(np.fft.rfft(seg)) ** 2
-        count += 1
-    half = acc / (count * scale)
+    segs = np.lib.stride_tricks.sliding_window_view(x, nseg)[::hop] * win
+    # an axis-0 sum adds the periodograms row by row, in segment order
+    half = np.sum(np.abs(np.fft.rfft(segs, axis=-1)) ** 2, axis=0) / (len(segs) * scale)
 
     full = np.empty(nseg)
     full[: nseg // 2 + 1] = half

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -189,6 +190,28 @@ def test_simulate_is_deterministic(loop_config):
     assert doc["seed"] == 1
     assert doc["passed"] is True
     assert doc["abs_gap"] < 0.03
+
+
+def test_simulate_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # the simulation runs its blocks through BLAS matrix products
+    cfg = {
+        "plant": {"num": [0.0, 1.0], "den": [1.0, -2.0]},
+        "controller": {"num": [-1.8, 0.4], "den": [1.0, -0.3]},
+        "channel_noise": {
+            "kind": "colored", "variance": 1.3,
+            "shaping": {"num": [1.0, 0.4], "den": [1.0, -0.6]},
+        },
+        "options": {"seed": 3, "n_samples": 65536},
+    }
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(cfg))
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    default = {k: v for k, v in os.environ.items() if k not in threads}
+    single = dict(default, **{k: "1" for k in threads})
+    a = run_cli("simulate", str(path), env=single)
+    b = run_cli("simulate", str(path), env=default)
+    assert a.returncode == 0, a.stderr
+    assert a.stdout == b.stdout
 
 
 def test_simulate_seed_override_changes_record(loop_config):

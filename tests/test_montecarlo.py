@@ -132,6 +132,183 @@ def test_divergence_raises_with_index():
 
 
 # ---------------------------------------------------------------------------
+# the block runner against the per-sample recursion
+
+
+class _ScalarDf2t:
+    """One DF2T element stepped a sample at a time on Python floats."""
+
+    def __init__(self, tf_, state=None):
+        b = list(tf_.num.coeffs)
+        a = list(tf_.den.coeffs)
+        m = max(len(b), len(a)) - 1
+        self.b = [x / a[0] for x in b] + [0.0] * (m + 1 - len(b))
+        self.a = [x / a[0] for x in a] + [0.0] * (m + 1 - len(a))
+        self.s = list(state) if state is not None else [0.0] * m
+
+    @property
+    def pending(self):
+        return self.s[0] if self.s else 0.0
+
+    def step(self, x):
+        b, a, s = self.b, self.a, self.s
+        m = len(s)
+        y = b[0] * x + (s[0] if m else 0.0)
+        for i in range(m - 1):
+            s[i] = b[i + 1] * x - a[i + 1] * y + s[i + 1]
+        if m:
+            s[m - 1] = b[m] * x - a[m] * y
+        return y
+
+
+def per_sample_oracle(cfg):
+    """The loop recursion one sample at a time: the reference the block
+    runner must reproduce. Returns the full-length signals y, w, v, z, u."""
+    model, n = cfg.model, cfg.n_samples
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    noise = []
+    for spec in (model.channel_noise, model.output_disturbance):
+        driven = math.sqrt(spec.variance) * rng.standard_normal(n)
+        if spec.kind == "colored":
+            step = _ScalarDf2t(spec.shaping).step
+            driven = np.array([step(x) for x in driven.tolist()])
+        noise.append(driven)
+    w_sig, v_sig = noise
+    elements = (model.plant, model.feedback_filter, model.controller)
+    orders = [max(len(f.num.coeffs), len(f.den.coeffs)) - 1 for f in elements]
+    x0 = model.initial_state or (0.0,) * sum(orders)
+    cut = np.cumsum([0] + orders)
+    fp, fh, fk = (
+        _ScalarDf2t(f, x0[lo:hi]) for f, lo, hi in zip(elements, cut[:-1], cut[1:])
+    )
+    if fp.b[0] == 0.0:
+        order = "p_first"
+    else:
+        order = "k_first" if fk.b[0] == 0.0 else "h_first"
+    out = np.empty((3, n))
+    for t in range(n):
+        wt, vt = w_sig[t], v_sig[t]
+        if order == "p_first":
+            zt = fh.step(fp.pending + vt)
+            yt = zt + wt
+            ut = fk.step(yt)
+            fp.step(ut)
+        elif order == "k_first":
+            ut = fk.pending
+            zt = fh.step(fp.step(ut) + vt)
+            yt = zt + wt
+            fk.step(yt)
+        else:
+            zt = fh.pending
+            yt = zt + wt
+            ut = fk.step(yt)
+            fh.step(fp.step(ut) + vt)
+        out[:, t] = yt, zt, ut
+        if not (abs(yt) <= 1e12 and abs(ut) <= 1e12):
+            raise DivergenceError("per-sample oracle diverged", index=t)
+    y, z, u = out
+    return {"y": y, "w": w_sig, "v": v_sig, "z": z, "u": u}
+
+
+def worst_relative_error(model, **cfg_kwargs):
+    cfg = SimulationConfig(model, **cfg_kwargs)
+    got = simulate_loop(cfg)
+    want = per_sample_oracle(cfg)
+    k = cfg.burn_in
+    worst = 0.0
+    for name, ref in want.items():
+        ref = ref[k:]
+        scale = np.max(np.abs(ref))
+        err = np.max(np.abs(getattr(got, name) - ref))
+        worst = max(worst, err / scale if scale else err)
+    return worst
+
+
+COLORED_W = colored(1.3, tf([1.0, 0.4, -0.3], [1.0, -1.2, 0.72]))
+COLORED_V = colored(0.7, tf([1.0, 0.5], [1.0, -0.9]))
+
+
+@pytest.mark.parametrize(
+    "plant, controller, feedback, state",
+    [
+        # p_first: the plant is strictly proper
+        (tf([0.0, 1.0], [1.0, -2.0]), tf([-1.8, 0.4], [1.0, -0.3]), TF_ONE, (0.5, -0.4)),
+        # k_first: the controller is strictly proper
+        (tf([0.5, 1.0], [1.0, -0.5]), tf([0.0, -0.3], [1.0, 0.2]), TF_ONE, (0.3, -0.2)),
+        # h_first: only the feedback filter is strictly proper
+        (
+            tf([0.5, 1.0], [1.0, -0.5]),
+            tf([-0.3, 0.1], [1.0, 0.2]),
+            tf([0.0, 1.0], [1.0, -0.1]),
+            (0.3, -0.2, 0.4),
+        ),
+    ],
+    ids=["p_first", "k_first", "h_first"],
+)
+def test_block_runner_matches_per_sample_recursion(plant, controller, feedback, state):
+    model = LoopModel(plant, controller, feedback, COLORED_W, COLORED_V, initial_state=state)
+    assert worst_relative_error(model, n_samples=2**13, burn_in=0, seed=3) <= 1e-13
+
+
+@pytest.mark.parametrize("n_samples", [4100, 50])
+def test_block_runner_pads_the_last_block(worked_model, n_samples):
+    model = LoopModel(
+        worked_model.plant, worked_model.controller, worked_model.feedback_filter,
+        COLORED_W, COLORED_V,
+    )
+    assert worst_relative_error(model, n_samples=n_samples, burn_in=0, seed=4) <= 1e-13
+
+
+def test_block_runner_near_circle_closed_loop_pole():
+    # 1 - PK = 1 - 0.9999 d: the closed-loop pole sits at 0.9999
+    model = LoopModel(
+        tf([0.0, 1.0], [1.0, -0.5]), tf([0.4999]), TF_ONE, white(1.0), white(1.0)
+    )
+    assert worst_relative_error(model, n_samples=2**15, seed=5) <= 1e-13
+
+
+def test_block_runner_large_transient_gain():
+    # every stabilizing controller of this plant is unstable; this one has
+    # poles near -207 and -1.7, so the loop's state map has norm ~6e4
+    model = LoopModel(
+        tf(
+            [0.0, 1.4520640809007752, 2.497379388024823],
+            [1.0, 2.3772238662961285, 0.009083897532343765, 4.0541782802832575e-05],
+        ),
+        tf(
+            [144.72050646328532, 334.1436920494877, 1.2479393401470893],
+            [1.0, 208.59788133832112, 351.0819550796564],
+        ),
+        TF_ONE,
+        white(2.5312844946994644),
+        white(0.6143038958998109),
+    )
+    assert worst_relative_error(model, n_samples=2**14, seed=0) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "plant_pole, gain, n_samples",
+    [(2.0, -0.1, 2**13), (0.5, 0.51, 2**13)],  # closed-loop poles 1.9 and 1.01
+    ids=["fast", "slow"],
+)
+def test_divergence_index_matches_per_sample_recursion(plant_pole, gain, n_samples):
+    model = LoopModel(
+        tf([0.0, 1.0], [1.0, -plant_pole]), tf([gain]), TF_ONE, white(1.0), white(1.0)
+    )
+    cfg = SimulationConfig(model, n_samples=n_samples, seed=0)
+    with pytest.raises(DivergenceError) as want:
+        per_sample_oracle(cfg)
+    with pytest.raises(DivergenceError) as got:
+        simulate_loop(cfg)
+    assert got.value.index == want.value.index
+    assert str(got.value) == (
+        f"signal magnitude exceeded 1e+12 at sample {want.value.index} "
+        "(non-stabilizing configuration or numerical blow-up)"
+    )
+    assert abs(got.value.value) > 1e12
+
+
+# ---------------------------------------------------------------------------
 # Welch estimator
 
 
@@ -168,13 +345,16 @@ def test_welch_localizes_a_sinusoid():
     assert peak == pytest.approx(omega0, abs=2 * np.pi / 1024)
 
 
-def test_welch_colored_spectrum_shape():
-    from loopinfo.montecarlo import _shaped_noise
+def shaped_w(spec, n_samples, seed):
+    """Channel noise shaped by spec, as the loop simulation produces it."""
+    model = LoopModel(TF_ZERO, TF_ZERO, TF_ONE, spec, white(1.0))
+    cfg = SimulationConfig(model, n_samples=n_samples, burn_in=0, seed=seed)
+    return simulate_loop(cfg).w
 
+
+def test_welch_colored_spectrum_shape():
     g = FrequencyGrid(4096)
-    spec = colored(1.0, tf([1.0], [1.0, -0.5]))
-    rng = np.random.Generator(np.random.Philox(1))
-    x = _shaped_noise(spec, rng.standard_normal(2**16))
+    x = shaped_w(colored(1.0, tf([1.0], [1.0, -0.5])), 2**16, seed=1)
     s = welch_psd(x, WelchParams(), g)
     i0 = int(np.argmin(np.abs(g.omegas)))
     # true PSD: 1/|1 - 0.5 e^{-jw}|^2, i.e. 4 at DC, 4/9 at the band edge;
@@ -184,27 +364,41 @@ def test_welch_colored_spectrum_shape():
     assert float(np.mean(s.values)) == pytest.approx(4.0 / 3.0, rel=0.03)
 
 
-def test_shaped_noise_one_pole_is_the_explicit_recursion():
-    from loopinfo.montecarlo import _shaped_noise
+def test_welch_equals_the_explicit_segment_loop():
+    x = np.random.Generator(np.random.Philox(4)).standard_normal(2**17 - 4096)
+    for params in (WelchParams(), WelchParams(256, 0.3), WelchParams(1024, 0.0)):
+        nseg = params.segment_length
+        hop = max(1, int(round(nseg * (1.0 - params.overlap_fraction))))
+        win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nseg) / nseg)
+        acc = np.zeros(nseg // 2 + 1)
+        count = 0
+        for start in range(0, len(x) - nseg + 1, hop):
+            acc += np.abs(np.fft.rfft(x[start : start + nseg] * win)) ** 2
+            count += 1
+        half = acc / (count * np.sum(win**2))
+        got = welch_psd(x, params, FrequencyGrid(nseg))
+        # on a grid of nseg points the bins land on grid points exactly
+        want = np.roll(np.concatenate([half, half[1 : nseg // 2][::-1]]), nseg // 2)
+        assert np.array_equal(got.values, want)
 
+
+def test_shaped_noise_one_pole_is_the_explicit_recursion():
     c = 0.9
     eps = np.random.Generator(np.random.Philox(2)).standard_normal(4096)
-    got = _shaped_noise(colored(2.0, tf([1.0], [1.0, -c])), eps)
+    got = shaped_w(colored(2.0, tf([1.0], [1.0, -c])), 4096, seed=2)
     x = math.sqrt(2.0) * eps
     want = np.empty_like(x)
     prev = 0.0
     for t in range(len(x)):
         prev = x[t] + c * prev
         want[t] = prev
-    assert np.array_equal(got, want)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_shaped_noise_arma_matches_impulse_response_convolution():
-    from loopinfo.montecarlo import _shaped_noise
-
     num, den = [1.0, 0.4, -0.3], [1.0, -1.2, 0.72]  # poles 0.6 +- 0.6j, |p| ~ 0.85
     eps = np.random.Generator(np.random.Philox(3)).standard_normal(4096)
-    got = _shaped_noise(colored(0.5, tf(num, den)), eps)
+    got = shaped_w(colored(0.5, tf(num, den)), 4096, seed=3)
     # impulse response as the inverse FFT of the frequency response on 1024
     # points; the aliased tail is ~0.85^1024, far below rounding
     n = 1024
