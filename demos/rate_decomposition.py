@@ -34,7 +34,7 @@ print("control term     :", report.control_term, " (ln 2 =", math.log(2.0), ")")
 print("disturbance term :", report.disturbance_term, " (0.5 ln 2 =", 0.5 * math.log(2.0), ")")
 print("residual         :", report.residual)
 print("bode closed form :", report.bode_analytic)
-print("grid convergence :", report.convergence_estimate)
+print("gap to the exact Jensen values :", report.convergence_estimate)
 
 # with white noises and H = 1 the disturbance term is 0.5 ln(1 + r) where
 # r = sigma_v^2 / sigma_w^2 — sweep r and compare with the closed form

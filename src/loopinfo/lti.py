@@ -60,14 +60,8 @@ class Polynomial:
     def is_zero(self) -> bool:
         return self.coeffs == (0.0,)
 
-    def __call__(self, x: complex) -> complex:
-        return complex(npoly.polyval(x, self.coeffs))
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial(npoly.polymul(self.coeffs, other.coeffs))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(npoly.polyadd(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial(npoly.polysub(self.coeffs, other.coeffs))

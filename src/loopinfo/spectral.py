@@ -13,7 +13,6 @@ import io
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -229,18 +228,6 @@ class LoopSpectra:
         gains = _closed_loop_gains(cl, self.grid)
         return LoopSpectra(self.sw, self.sv, self.h2, *gains)
 
-    def restricted(self, grid: FrequencyGrid) -> "LoopSpectra":
-        """The samples at the points of a grid no finer than this one; being
-        powers of two, its points are every k-th point of this grid."""
-        step = self.grid.n_points // grid.n_points
-        return LoopSpectra(
-            SpectrumSamples(grid, self.sw.values[::step]),
-            SpectrumSamples(grid, self.sv.values[::step]),
-            self.h2[::step],
-            self.fwy2[::step],
-            self.fvy2[::step],
-        )
-
     @property
     def grid(self) -> FrequencyGrid:
         return self.sw.grid
@@ -292,19 +279,6 @@ def log_integral(s: SpectrumSamples) -> float:
             stacklevel=2,
         )
     return float(np.mean(np.log(v)))
-
-
-def log_integral_convergence(
-    sample: Callable[[FrequencyGrid], SpectrumSamples], grid: FrequencyGrid
-) -> tuple[float, float]:
-    """Integral on the grid plus the doubled-grid convergence estimate.
-
-    sample must evaluate the same spectrum on any requested grid. Returns
-    (value at grid, |value at doubled grid - value at grid|).
-    """
-    coarse = log_integral(sample(grid))
-    fine = log_integral(sample(grid.doubled()))
-    return coarse, abs(fine - coarse)
 
 
 def _write_csv(target, header, rows) -> None:

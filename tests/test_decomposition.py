@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,13 +17,13 @@ from loopinfo import (
     InvalidInputError,
     LoopModel,
     RateInputs,
+    SingularityError,
     UnstableLoopError,
     bode_term_analytic,
     close_loop,
     colored,
     controller_independence_check,
     decompose,
-    directed_info_rate,
     gaussian_entropy_rate,
     integrands_csv_string,
     log_integral,
@@ -36,6 +37,7 @@ from loopinfo import (
     white_noise_disturbance_term,
 )
 from loopinfo import spectral
+from loopinfo.decomposition import _disturbance_term_exact
 from loopinfo.lti import TF_ONE, TF_ZERO
 
 LN2 = math.log(2.0)
@@ -61,7 +63,7 @@ def test_gaussian_entropy_rate_white():
 
 def test_rate_open_loop_is_half_log_two():
     # y = w + v with unit variances: sqrt(S_Y/S_W) = sqrt(2) pointwise
-    rate = directed_info_rate(RateInputs(open_loop_model()))
+    rate = decompose(RateInputs(open_loop_model())).total_rate
     assert rate == pytest.approx(0.5 * LN2, abs=1e-12)
 
 
@@ -69,11 +71,11 @@ def test_rate_zero_disturbance_stable_loop_is_zero():
     m = LoopModel(
         tf([0.0, 1.0], [1.0, -0.5]), tf([-0.3]), TF_ONE, white(1.0), white(0.0)
     )
-    assert abs(directed_info_rate(RateInputs(m))) < 1e-12
+    assert abs(decompose(RateInputs(m)).total_rate) < 1e-12
 
 
 def test_rate_worked_example(worked_model):
-    rate = directed_info_rate(RateInputs(worked_model))
+    rate = decompose(RateInputs(worked_model)).total_rate
     assert rate == pytest.approx(LN2 + 0.5 * LN2, abs=1e-12)
 
 
@@ -209,15 +211,21 @@ def colored_dynamic_h_model():
 
 @pytest.mark.parametrize("kind", ["white", "colored"])
 def test_decompose_total_equals_direct_route_exactly(worked_model, kind):
-    """The reported rate comes from the even samples of the doubled-grid
-    evaluation; they are the requested grid's samples bit for bit."""
+    """Each reported term is the plain grid mean of its integrand on the
+    requested grid, bit for bit."""
     model = worked_model if kind == "white" else colored_dynamic_h_model()
     grid = FrequencyGrid(1024)
     rep = decompose(RateInputs(model, grid))
+    cl = close_loop(model)
     sw = noise_psd(model.channel_noise, grid)
     sv = noise_psd(model.output_disturbance, grid)
-    sy = output_psd(close_loop(model), sw, sv)
+    sy = output_psd(cl, sw, sv)
     assert rep.total_rate == log_integral(sensitivity_ratio(sy, sw))
+    fwy2 = spectral.squared_gain(cl.f_wy, grid)
+    assert rep.control_term == float(np.mean(0.5 * np.log(fwy2)))
+    h2 = spectral.squared_gain(model.feedback_filter, grid)
+    disturbance = 0.5 * np.log1p(h2 * sv.values / sw.values)
+    assert rep.disturbance_term == float(np.mean(disturbance))
 
 
 def _count_evaluations(monkeypatch):
@@ -252,7 +260,7 @@ def test_decompose_evaluates_each_transfer_function_once(monkeypatch):
     for f in evaluated:
         assert _times_evaluated(calls, f) == 1
     assert len(calls) == len(evaluated)
-    assert all(n == 1024 for _, n in calls)  # the doubled grid only
+    assert all(n == 512 for _, n in calls)  # the requested grid only
 
 
 def test_independence_check_evaluates_sources_once(monkeypatch):
@@ -271,6 +279,17 @@ def test_independence_check_evaluates_sources_once(monkeypatch):
     ):
         assert _times_evaluated(calls, f) == 1
     assert len(calls) == 3 + 2 * len(controllers)  # F_wy and F_vy per controller
+
+
+def test_near_singular_integrand_refines_then_raises():
+    """|F_wy|^2 is 4e-14 at omega = 0, a point of every grid: the 4x grid is
+    evaluated directly, and the sample stays near-singular there."""
+    model = LoopModel(
+        tf([0.0, 1.0], [1.0, -(1.0 - 1e-7)]), tf([-0.5]), TF_ONE, white(1.0), white(1.0)
+    )
+    with pytest.warns(RuntimeWarning, match="refining the grid 4x"):
+        with pytest.raises(SingularityError, match="after 4x grid refinement"):
+            decompose(RateInputs(model, FrequencyGrid(256)))
 
 
 def test_dynamic_h_disturbance_forms_agree_regression():
@@ -327,6 +346,112 @@ def test_white_noise_disturbance_term_values():
         white_noise_disturbance_term(1.0, 0.0)
     with pytest.raises(InvalidInputError):
         white_noise_disturbance_term(1.0, -2.0)
+
+
+# ---------------------------------------------------------------------------
+# the exact (Jensen) route and the convergence estimate
+
+
+def _first_order_log_factor(s, m):
+    """(1/2pi) * integral of ln(s - 2m cos omega) for s > 2|m|: ln c of the
+    spectral factor c |1 - b e^{-j omega}|^2, where c(1 + b^2) = s, c b = m."""
+    m = abs(m)
+    return math.log(0.5 * (s + math.sqrt((s - 2.0 * m) * (s + 2.0 * m))))
+
+
+def _one_pole_closed_form(sigma_v2, sigma_w2, a):
+    """Disturbance term for H = 1, white w and v shaped by 1/(1 - a d)."""
+    s = sigma_w2 * (1.0 + a * a) + sigma_v2
+    return 0.5 * (_first_order_log_factor(s, sigma_w2 * a) - math.log(sigma_w2))
+
+
+def _one_zero_closed_form(sigma_v2, sigma_w2, a):
+    """Disturbance term for H = 1, white w and v shaped by 1 - a d."""
+    s = sigma_w2 + sigma_v2 * (1.0 + a * a)
+    return 0.5 * (_first_order_log_factor(s, sigma_v2 * a) - math.log(sigma_w2))
+
+
+def test_jensen_disturbance_term_white_noises(worked_model):
+    for sigma_v2, sigma_w2 in ((0.0, 1.0), (1.0, 1.0), (3.0, 1.0), (0.4, 2.5), (7.0, 0.3)):
+        m = replace(worked_model, channel_noise=white(sigma_w2),
+                    output_disturbance=white(sigma_v2))
+        want = white_noise_disturbance_term(sigma_v2, sigma_w2)
+        assert abs(_disturbance_term_exact(m) - want) <= 1e-14
+        # pure delays have unit modulus on the circle and change nothing
+        delayed = replace(m, feedback_filter=tf([0.0, -1.0]),
+                          channel_noise=colored(sigma_w2, tf([0.0, 0.0, 1.0])))
+        assert abs(_disturbance_term_exact(delayed) - want) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "a", [-0.99, -0.6, 0.3, 0.9, 0.99, -0.999, 0.999, -0.9999, 0.9999]
+)
+def test_jensen_disturbance_term_first_order_closed_forms(worked_model, a):
+    for sigma_v2, sigma_w2 in ((1.0, 1.0), (0.7, 1.3), (3.0, 0.2), (0.05, 2.0)):
+        w = white(sigma_w2)
+        pole = replace(worked_model, channel_noise=w,
+                       output_disturbance=colored(sigma_v2, tf([1.0], [1.0, -a])))
+        assert abs(_disturbance_term_exact(pole)
+                   - _one_pole_closed_form(sigma_v2, sigma_w2, a)) <= 1e-14
+        zero = replace(worked_model, channel_noise=w,
+                       output_disturbance=colored(sigma_v2, tf([1.0, -a])))
+        assert abs(_disturbance_term_exact(zero)
+                   - _one_zero_closed_form(sigma_v2, sigma_w2, a)) <= 1e-14
+
+
+def test_convergence_estimate_small_on_random_loops():
+    for case in run_identity_suite(40, seed=0):
+        assert case.report.convergence_estimate <= 1e-12
+
+
+def test_convergence_estimate_small_with_huge_controller_coefficients():
+    """A loop whose only stabilizing controllers are unstable; this one has a
+    pole at 2.57e7 and coefficients up to 7.3e7."""
+    model = LoopModel(
+        tf([0.0, 0.6311072054600159, 0.790644542008086],
+           [1.0, 1.7944493911628916, -0.12349787122083641,
+            -2.5855381577598348e-05, -4.20939581710476e-09]),
+        tf([-40788671.27148071, -73186578.2276199, 5049236.592373312, 234.14384242436054],
+           [1.0, -25742026.17193811, -32245154.091835905, 5252.683731378798]),
+        TF_ONE,
+        white(2.8632139523999927),
+        white(0.9604316783689053),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = decompose(RateInputs(model, FrequencyGrid(4096)))
+    assert rep.convergence_estimate <= 1e-12
+
+
+def test_silent_disturbance_has_exact_term_zero():
+    """sigma_v^2 = 0 leaves only sigma_w^2 B B*, whose roots here are triple
+    pairs close to the circle; roots of it would be off by ~1e-6."""
+    model = LoopModel(
+        tf([0.0, 1.0], [1.0, -0.5]),
+        TF_ZERO,
+        tf([1.0, 0.5], [1.0, -0.99]),
+        colored(1.3, tf([1.0, -0.99])),
+        colored(0.0, tf([1.0], [1.0, -0.99])),
+    )
+    assert _disturbance_term_exact(model) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = decompose(RateInputs(model, FrequencyGrid(4096)))
+    assert rep.disturbance_term == 0.0
+    assert rep.convergence_estimate <= 1e-12
+
+
+@pytest.mark.parametrize("a", [0.9999, -0.9999])
+def test_near_circle_grid_error_is_estimated_and_warned(worked_model, a):
+    """A disturbance pole at |a| = 0.9999 is too sharp for 4096 points; the
+    estimate is the true quadrature error and decompose says so."""
+    m = replace(worked_model, output_disturbance=colored(1.0, tf([1.0], [1.0, -a])))
+    with pytest.warns(RuntimeWarning, match="4096 points") as caught:
+        rep = decompose(RateInputs(m, FrequencyGrid(4096)))
+    assert not any("refining the grid" in str(w.message) for w in caught)
+    true_error = abs(rep.disturbance_term - _one_pole_closed_form(1.0, 1.0, a))
+    assert true_error > 1e-4
+    assert abs(rep.convergence_estimate - true_error) <= 1e-11
 
 
 # ---------------------------------------------------------------------------

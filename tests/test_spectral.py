@@ -19,7 +19,6 @@ from loopinfo import (
     close_loop,
     colored,
     log_integral,
-    log_integral_convergence,
     noise_psd,
     output_psd,
     sensitivity_ratio,
@@ -212,18 +211,6 @@ def test_log_integral_domain_errors_and_warning():
     with pytest.warns(RuntimeWarning):
         val = log_integral(tiny)
     assert val == pytest.approx(math.log(1e-13))
-
-
-def test_log_integral_convergence_smooth_spectrum():
-    g = FrequencyGrid(256)
-
-    def sample(grid):
-        z = np.exp(-1j * grid.omegas)
-        return SpectrumSamples(grid, np.abs(1 - 0.3 * z) ** 2 + 1.0)
-
-    value, err = log_integral_convergence(sample, g)
-    assert err < 1e-12
-    assert value == pytest.approx(log_integral(sample(g.doubled())), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
