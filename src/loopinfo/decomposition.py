@@ -14,7 +14,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -31,10 +30,12 @@ from .lti import (
     TF_ONE,
     ClosedLoop,
     LoopModel,
+    Polynomial,
     TransferFunction,
     close_loop,
     is_stabilizing,
     pole_placement_controller,
+    poly_roots,
     tf,
 )
 from .spectral import (
@@ -72,7 +73,7 @@ class RateInputs:
                 poles=report.offending_poles,
             )
 
-    @cached_property
+    @property
     def closed_loop(self) -> ClosedLoop:
         return close_loop(self.model)
 
@@ -138,10 +139,6 @@ class _Integrands:
     ratio2: np.ndarray
     fwy2: np.ndarray
 
-    def min_scale(self) -> float:
-        """Smallest log argument on the grid."""
-        return float(min(np.min(self.ratio2), np.min(self.fwy2)))
-
 
 def _integrands(spectra: LoopSpectra) -> _Integrands:
     sw, sv, fwy2 = spectra.sw, spectra.sv, spectra.fwy2
@@ -196,12 +193,11 @@ def white_noise_disturbance_term(sigma_v2: float, sigma_w2: float) -> float:
     return 0.5 * math.log1p(sigma_v2 / sigma_w2)
 
 
-def _log_mahler(coeffs) -> float:
+def _log_mahler(p: Polynomial) -> float:
     """(1/2pi) * integral of ln|p(e^{-j omega})| by Jensen's formula: ln|p_0| +
     sum of ln max(1, |z_i|) over p's z-plane roots, pure delays stripped."""
-    c = np.asarray(coeffs, dtype=float)
-    mags = np.abs(np.roots(c))  # np.roots drops the leading zeros (delays) itself
-    lead = c[np.flatnonzero(c)[0]]
+    mags = np.abs(poly_roots(p))
+    lead = next(c for c in p.coeffs if c != 0.0)
     return math.log(abs(lead)) + float(np.sum(np.log(np.maximum(1.0, mags))))
 
 
@@ -222,9 +218,9 @@ def _disturbance_term_exact(model: LoopModel) -> float:
     a, b = np.append(a, np.zeros(n - len(a))), np.append(b, np.zeros(n - len(b)))
     spectrum = v.variance * np.convolve(a, a[::-1]) + w.variance * np.convolve(b, b[::-1])
     return (
-        0.5 * (_log_mahler(spectrum) - math.log(w.variance))
-        - _log_mahler(h.den.coeffs)
-        - _log_mahler(gw.num.coeffs)
+        0.5 * (_log_mahler(Polynomial(spectrum)) - math.log(w.variance))
+        - _log_mahler(h.den)
+        - _log_mahler(gw.num)
     )
 
 
@@ -233,8 +229,9 @@ def decompose(inputs: RateInputs) -> DecompositionReport:
 
     Both disturbance-integrand forms (the F-ratio form and the simplified
     |H|^2 form) are evaluated and must agree within 1e-10; the report carries
-    the simplified form. Near-singular integrands (samples below 1e-12)
-    trigger one 4x grid refinement before a hard error.
+    the simplified form. A near-singular integrand (a sample below 1e-12)
+    raises SingularityError naming the first such omega: a finer grid keeps
+    every sample of this one, so it cannot help.
 
     The reported values are grid means, each transfer function evaluated
     once. convergence_estimate is their gap to the exact Jensen values, from
@@ -258,20 +255,14 @@ def _decompose(
     else:
         spectra = LoopSpectra.evaluate(model, cl, grid)
     parts = _integrands(spectra)
-    if parts.min_scale() < NEAR_SINGULAR_FLOOR:
-        warnings.warn(
-            "near-singular log integrand; refining the grid 4x",
-            RuntimeWarning,
-            stacklevel=3,
+    low = np.minimum(parts.ratio2, parts.fwy2) < NEAR_SINGULAR_FLOOR
+    if np.any(low):
+        w = float(grid.omegas[np.argmax(low)])
+        raise SingularityError(
+            f"log integrand is near-singular (< {NEAR_SINGULAR_FLOOR:g}) at omega={w!r}; "
+            "a closed-loop zero is too close to the unit circle",
+            omega=w,
         )
-        grid = grid.doubled().doubled()
-        spectra = LoopSpectra.evaluate(model, cl, grid)
-        parts = _integrands(spectra)
-        if parts.min_scale() < NEAR_SINGULAR_FLOOR:
-            raise SingularityError(
-                "log integrand stays near-singular after 4x grid refinement; "
-                "a closed-loop zero is too close to the unit circle"
-            )
 
     total = float(np.mean(parts.log_ratio))
     control = float(np.mean(parts.log_fwy))

@@ -9,7 +9,9 @@ constant term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -40,7 +42,8 @@ def _strip_trailing_zeros(coeffs: Sequence[float]) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Real polynomial in the delay variable, ascending coefficients."""
+    """Real polynomial in the delay variable, ascending coefficients; being
+    immutable, it computes its z-plane roots once, on first use."""
 
     coeffs: tuple[float, ...]
 
@@ -48,7 +51,7 @@ class Polynomial:
         if len(coeffs) == 0:
             raise InvalidInputError("polynomial needs at least one coefficient")
         c = _strip_trailing_zeros(coeffs)
-        if not all(np.isfinite(x) for x in c):
+        if not all(map(math.isfinite, c)):
             raise InvalidInputError(f"non-finite polynomial coefficients: {c}")
         object.__setattr__(self, "coeffs", c)
 
@@ -61,13 +64,19 @@ class Polynomial:
         return self.coeffs == (0.0,)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(npoly.polymul(self.coeffs, other.coeffs))
+        return Polynomial(np.convolve(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial(npoly.polysub(self.coeffs, other.coeffs))
 
     def scaled(self, a: float) -> "Polynomial":
+        if a == 1.0:  # exact: keep this object and its computed roots
+            return self
         return Polynomial(tuple(a * c for c in self.coeffs))
+
+    @cached_property
+    def _roots(self) -> tuple[complex, ...]:
+        return tuple(complex(r) for r in np.roots(self.coeffs)) if self.degree else ()
 
 
 def poly_roots(p: Polynomial) -> list[complex]:
@@ -75,13 +84,10 @@ def poly_roots(p: Polynomial) -> list[complex]:
 
     Delay factors (zero constant term) put roots at infinity, which are
     omitted; every returned root is finite. Uses the companion-matrix
-    eigensolver under the hood.
+    eigensolver under the hood, once per polynomial; each call returns a
+    fresh list.
     """
-    if not all(np.isfinite(c) for c in p.coeffs):
-        raise InvalidInputError("non-finite coefficients")
-    if p.degree == 0:
-        return []
-    return [complex(r) for r in np.roots(p.coeffs)]
+    return list(p._roots)
 
 
 def _poly_from_z_roots(z_roots, constant: float) -> Polynomial:
@@ -115,10 +121,10 @@ def _reduce_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomi
     if num.is_zero:
         return Polynomial((0.0,)), Polynomial((1.0,))
 
-    # pure-delay prefactor of the numerator: num = d^delay * q with q(0) != 0
+    # pure-delay prefactor of the numerator: num = d^delay * q with q(0) != 0;
+    # num and q have the same finite roots
     delay = next(i for i, c in enumerate(num.coeffs) if c != 0.0)
-    q = Polynomial(num.coeffs[delay:])
-    nroots = poly_roots(q)
+    nroots = poly_roots(num)
     droots = poly_roots(den)
     cancel_n: list[int] = []
     cancel_d: list[int] = []
@@ -138,7 +144,7 @@ def _reduce_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomi
     if cancel_d:
         keep_n = [a for i, a in enumerate(nroots) if i not in cancel_n]
         keep_d = [b for j, b in enumerate(droots) if j not in cancel_d]
-        reduced = _poly_from_z_roots(keep_n, q.coeffs[0])
+        reduced = _poly_from_z_roots(keep_n, num.coeffs[delay])
         num = Polynomial((0.0,) * delay + reduced.coeffs)
         den = _poly_from_z_roots(keep_d, den.coeffs[0])
 
@@ -263,7 +269,8 @@ class LoopModel:
     Positive-feedback convention: the return difference is 1 - P*K*H, so the
     usual negative-feedback loop is obtained by negating the controller. The
     loop gain must be strictly proper (at least one sample of delay around the
-    loop) for the sample-by-sample recursion to be well posed.
+    loop) for the sample-by-sample recursion to be well posed. Being immutable,
+    it forms its stability report and closed loop once, on first use.
     """
 
     plant: TransferFunction
@@ -286,11 +293,21 @@ class LoopModel:
             )
         object.__setattr__(self, "initial_state", tuple(float(x) for x in self.initial_state))
 
-    def loop_gain_raw(self) -> tuple[Polynomial, Polynomial]:
-        """Unreduced numerator/denominator of L = P*K*H."""
+    @cached_property
+    def _loop_gain_raw(self) -> tuple[Polynomial, Polynomial, Polynomial]:
+        """Unreduced numerator and denominator of L = P*K*H, and the
+        unreduced return difference den_L - num_L."""
         num = self.plant.num * self.controller.num * self.feedback_filter.num
         den = self.plant.den * self.controller.den * self.feedback_filter.den
-        return num, den
+        return num, den, den - num
+
+    @cached_property
+    def _stability(self) -> "StabilityReport":
+        return _check_stability(self)
+
+    @cached_property
+    def _closed_loop(self) -> "ClosedLoop":
+        return _form_closed_loop(self)
 
 
 @dataclass(frozen=True)
@@ -310,18 +327,23 @@ class ClosedLoop:
 
 
 def close_loop(model: LoopModel) -> ClosedLoop:
-    """Form the closed-loop transfer functions and pole set."""
-    num_l, den_l = model.loop_gain_raw()
-    char_raw = den_l - num_l
+    """The closed-loop transfer functions and pole set, formed once per model."""
+    return model._closed_loop
+
+
+def _form_closed_loop(model: LoopModel) -> ClosedLoop:
+    _, den_l, char_raw = model._loop_gain_raw
     if char_raw.is_zero:
         raise DegenerateLoopError("1 - P*K*H is identically zero")
+    # char_raw(0) = 1, so unless a cancellation rebuilds it, f_wy.den is
+    # char_raw itself and shares its roots with the stability check
     f_wy = TransferFunction(den_l, char_raw)
     # H/(1 - L) = H.num * P.den * K.den / (den_L - num_L), formed directly:
     # H * f_wy would cancel H's poles against f_wy's numerator and rebuild
     # both polynomials from computed roots, perturbing |f_vy| by ~1e-9.
-    f_vy = TransferFunction(
-        model.feedback_filter.num * model.plant.den * model.controller.den, char_raw
-    )
+    # With H = 1 that numerator is den_L and f_vy is f_wy.
+    num_vy = model.feedback_filter.num * model.plant.den * model.controller.den
+    f_vy = f_wy if num_vy == den_l else TransferFunction(num_vy, char_raw)
     poles = tuple(f_wy.poles())
     stable = all(abs(p) < 1.0 - STABILITY_MARGIN for p in poles)
     return ClosedLoop(
@@ -350,9 +372,12 @@ class StabilityReport:
 
 
 def is_stabilizing(model: LoopModel) -> StabilityReport:
-    """Check internal stability of the loop; never raises."""
-    num_l, den_l = model.loop_gain_raw()
-    char_raw = den_l - num_l
+    """Check internal stability of the loop, once per model; never raises."""
+    return model._stability
+
+
+def _check_stability(model: LoopModel) -> StabilityReport:
+    num_l, den_l, char_raw = model._loop_gain_raw
     if char_raw.is_zero:
         return StabilityReport(False, (), (), (), degenerate=True)
 

@@ -26,6 +26,7 @@ from loopinfo import (
     decompose,
     gaussian_entropy_rate,
     integrands_csv_string,
+    is_stabilizing,
     log_integral,
     noise_psd,
     output_psd,
@@ -281,15 +282,60 @@ def test_independence_check_evaluates_sources_once(monkeypatch):
     assert len(calls) == 3 + 2 * len(controllers)  # F_wy and F_vy per controller
 
 
-def test_near_singular_integrand_refines_then_raises():
-    """|F_wy|^2 is 4e-14 at omega = 0, a point of every grid: the 4x grid is
-    evaluated directly, and the sample stays near-singular there."""
+def _root_key(coeffs):
+    """A polynomial as np.roots sees it: leading zeros (pure delays) dropped."""
+    return tuple(np.trim_zeros(np.asarray(coeffs, dtype=float), "f"))
+
+
+def _count_roots(monkeypatch):
+    calls = []
+    real = np.roots
+
+    def counting(p):
+        calls.append(_root_key(p))
+        return real(p)
+
+    monkeypatch.setattr(np, "roots", counting)
+    return calls
+
+
+def test_decompose_takes_each_polynomials_roots_once(monkeypatch):
+    model = colored_dynamic_h_model()
+    factors = (
+        model.plant,
+        model.controller,
+        model.feedback_filter,
+        model.channel_noise.shaping,
+        model.output_disturbance.shaping,
+    )
+    calls = _count_roots(monkeypatch)
+    decompose(RateInputs(model, FrequencyGrid(512)))
+    assert calls
+    assert len(set(calls)) == len(calls)
+    # the factors' roots, taken when they were built, are reused
+    assert not {_root_key(p.coeffs) for f in factors for p in (f.num, f.den)} & set(calls)
+    # a second decompose of the model retakes only the disturbance spectrum's
+    # roots: that polynomial is built per call, from the noises and H
+    taken = list(calls)
+    decompose(RateInputs(model, FrequencyGrid(512)))
+    assert calls[len(taken):] == taken[-1:]
+
+
+def test_near_singular_integrand_raises_at_once(monkeypatch):
+    """|F_wy|^2 is 4e-14 at omega = 0, a point of every grid, so no finer grid
+    can help: decompose raises on the requested grid, naming that omega."""
     model = LoopModel(
         tf([0.0, 1.0], [1.0, -(1.0 - 1e-7)]), tf([-0.5]), TF_ONE, white(1.0), white(1.0)
     )
-    with pytest.warns(RuntimeWarning, match="refining the grid 4x"):
-        with pytest.raises(SingularityError, match="after 4x grid refinement"):
-            decompose(RateInputs(model, FrequencyGrid(256)))
+    inputs = RateInputs(model, FrequencyGrid(256))
+    calls = _count_evaluations(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SingularityError, match="omega=0.0") as exc:
+            decompose(inputs)
+    assert exc.value.omega == 0.0
+    assert calls and all(n == 256 for _, n in calls)  # the requested grid only
+    assert not any("refin" in str(w.message) for w in caught)
 
 
 def test_dynamic_h_disturbance_forms_agree_regression():
@@ -483,6 +529,16 @@ def test_independence_rejects_non_stabilizing_alternative(worked_model):
     with pytest.raises(UnstableLoopError) as err:
         controller_independence_check(worked_model, [tf([-2.0]), tf([0.1])])
     assert "#1" in str(err.value)
+
+
+def test_independence_check_sees_no_stale_stability_report(worked_model):
+    """The base model's cached report (stabilizing) must not carry over to the
+    models built from it with another controller."""
+    assert is_stabilizing(worked_model).is_stabilizing
+    with pytest.raises(UnstableLoopError) as err:
+        controller_independence_check(worked_model, [tf([-2.0]), tf([0.1])])
+    assert "#1" in str(err.value)
+    assert is_stabilizing(replace(worked_model, controller=tf([0.1]))).offending_poles
 
 
 # ---------------------------------------------------------------------------

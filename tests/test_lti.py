@@ -1,5 +1,7 @@
 """Transfer-function algebra: polynomials, reduction, loop closure, placement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -271,6 +273,26 @@ def test_is_stabilizing_accepts_worked_example(worked_model):
     assert rep.is_stabilizing
     assert rep.closed_loop_poles == (0j,)
     assert rep.offending_poles == ()
+
+
+def test_stability_report_and_closed_loop_formed_once_per_model(worked_model):
+    assert is_stabilizing(worked_model) is is_stabilizing(worked_model)
+    assert close_loop(worked_model) is close_loop(worked_model)
+    other = replace(worked_model, controller=tf([-0.1]))
+    assert not is_stabilizing(other).is_stabilizing
+    assert not close_loop(other).is_stable
+
+
+def test_cached_roots_are_not_shared_with_callers():
+    """poles() and zeros() pad the list they get with origin roots; the first
+    map has two origin poles, the second one origin zero."""
+    for t in (tf([0.0, 0.0, 1.0, 0.5], [1.0, -0.5]), tf([1.0, 0.5], [1.0, -0.9, 0.2])):
+        calls = (t.poles, t.zeros, lambda: poly_roots(t.den))
+        first = [f() for f in calls]
+        expected = [list(r) for r in first]
+        for got in first:
+            got.append(5j)
+        assert [f() for f in calls] == expected
 
 
 # ---------------------------------------------------------------------------
