@@ -246,10 +246,13 @@ def _decompose(
     cl: ClosedLoop,
     grid: FrequencyGrid,
     reuse: LoopSpectra | None = None,
-) -> tuple[DecompositionReport, LoopSpectra]:
-    """decompose, also returning the spectra it used, on the report's grid.
-    reuse, a LoopSpectra of the same sources and H under another controller,
-    lends its controller-free parts when it lies on the grid."""
+    exact_disturbance: float | None = None,
+) -> tuple[DecompositionReport, LoopSpectra, float]:
+    """decompose, also returning the spectra it used, on the report's grid,
+    and the exact disturbance term. reuse, a LoopSpectra of the same sources
+    and H under another controller, lends its controller-free parts when it
+    lies on the grid; exact_disturbance, the exact term of the same sources
+    and H, which hold no controller, is used as given."""
     if reuse is not None and reuse.grid == grid:
         spectra = reuse.with_closed_loop(cl)
     else:
@@ -275,7 +278,8 @@ def _decompose(
         )
 
     bode = bode_term_analytic(model)
-    exact_disturbance = _disturbance_term_exact(model)
+    if exact_disturbance is None:
+        exact_disturbance = _disturbance_term_exact(model)
     estimate = max(
         abs(total - (bode + exact_disturbance)),
         abs(control - bode),
@@ -298,7 +302,7 @@ def _decompose(
         grid_points=grid.n_points,
         convergence_estimate=estimate,
     )
-    return report, spectra
+    return report, spectra, exact_disturbance
 
 
 @dataclass(frozen=True)
@@ -332,7 +336,7 @@ def controller_independence_check(
     """
     grid = grid or FrequencyGrid()
     terms = []
-    spectra = None
+    spectra = exact = None
     for i, k in enumerate(alt_controllers):
         candidate = replace(model, controller=k)
         try:
@@ -343,8 +347,11 @@ def controller_independence_check(
                 "does not stabilize the loop",
                 poles=getattr(exc, "poles", ()),
             ) from exc
-        # the sources and H do not depend on the controller: evaluate them once
-        report, spectra = _decompose(candidate, inputs.closed_loop, grid, spectra)
+        # the sources and H do not depend on the controller: evaluate them,
+        # and the exact disturbance term, once
+        report, spectra, exact = _decompose(
+            candidate, inputs.closed_loop, grid, spectra, exact
+        )
         terms.append(report.disturbance_term)
     deviation = max(terms) - min(terms) if terms else 0.0
     return IndependenceReport(
@@ -484,7 +491,7 @@ def run_identity_suite(
     for _ in range(n_cases):
         model = random_stabilized_loop(rng)
         inputs = RateInputs(model, grid)
-        report, spectra = _decompose(model, inputs.closed_loop, grid)
+        report, spectra, _ = _decompose(model, inputs.closed_loop, grid)
         chain = gaussian_entropy_rate(spectra.sy) - gaussian_entropy_rate(spectra.sw)
         cases.append(
             SuiteCase(

@@ -4,9 +4,13 @@ The loop is run as the per-element recursion through the noise-shaping
 filters, plant, feedback filter, and controller (direct-form II transposed
 states), never through the closed-form maps the analytic path uses (no
 close_loop) — agreement between the two routes is then an actual check, not
-a tautology. The recursion is advanced 64 samples per step: the block maps
-are its own responses over 64 steps, taken by stepping it from unit states
-and unit innovations (lifting). Spectra of the recorded trajectories are
+a tautology. The recursion is advanced in blocks of 64 samples: the block
+maps are its own responses over 64 steps, taken by stepping it from unit
+states and unit innovations (lifting). The state carried from block to block
+advances up to 32 blocks per step, through powers of the 64-sample carry
+that come from stepping the block recursion itself, capped at the last
+finite one; powers of a probed one-sample state map would lose accuracy on
+loops with large transient gain. Spectra of the recorded trajectories are
 estimated with Welch's method and pushed through the same log-integral
 engine as the analytic path.
 """
@@ -36,6 +40,7 @@ DIVERGENCE_LIMIT = 1e12
 PSD_FLOOR = 1e-12
 
 _BLOCK = 64  # samples advanced per step of the lifted recursion
+_SUPER = 32  # blocks the carried state advances per step, at most
 
 
 @dataclass(frozen=True)
@@ -202,48 +207,78 @@ def _loop_step(model: LoopModel):
     return step, orders
 
 
-def _lifted_run(step, x0: np.ndarray, drive: np.ndarray) -> list[np.ndarray]:
-    """Run the recursion _BLOCK (64) samples per step; returns w, v, z, u.
+def _lifted_run(step, x0: np.ndarray, sig: np.ndarray) -> None:
+    """Run the recursion _BLOCK (64) samples per step, in place on sig.
 
-    drive holds the innovations of w and of v, shaped (2, blocks, _BLOCK).
-    The block maps come from stepping the recursion itself over one block:
-    from each unit state (the free responses, whose final states form the
-    carry, the state map over one block) and from a unit innovation of w,
-    then of v, at each sample of the block (the Markov Toeplitz blocks and
-    the innovation-to-state columns). Powers of a probed A would lose accuracy on loops with large
-    transient gain. Zero padding at the end of the last block never reaches
-    an earlier sample, because the recursion is causal.
+    sig has four rows of whole blocks. On entry its first two rows hold the
+    innovations of w and of v, zero-padded; on return its rows hold w, v, z
+    and u. The block maps come from stepping the recursion itself over one
+    block: from each unit state (the free responses, whose final states form
+    the carry C, the state map over one block) and from a unit innovation of
+    w, then of v, at each sample of the block (the Markov Toeplitz blocks and
+    the innovation-to-state columns).
+
+    The carried state advances up to _SUPER (32) blocks per step. Block j of
+    such a superblock starts at C^j times the superblock's start plus the
+    earlier blocks' innovations carried through C^(j-1), ..., C^0: one
+    product with a block-Toeplitz matrix of those powers. The powers are the
+    block recursion stepped from C^j (C^(j+1) = C C^j), never powers of a
+    probed one-sample A, which lose accuracy on loops with large transient
+    gain. They stop at the last finite power, so a zero state or innovation
+    never meets an infinite power that the block-by-block carry would not
+    form. Each signal is then one product of the stacked operand [block
+    start | w innovations | v innovations] with its block map. Zero padding
+    at the end never reaches an earlier sample, because the recursion is
+    causal.
     """
     T = _BLOCK
     nx = len(x0)
+    blocks = sig.shape[1] // T
     x = np.zeros((nx, nx + 2 * T))
     x[:, :nx] = np.eye(nx)
     resp = np.empty((4, T, nx + 2 * T))
     for t in range(T):
         e = np.zeros((2, nx + 2 * T))
         e[0, nx + t] = e[1, nx + T + t] = 1.0
-        for c, sig in enumerate(step(x, e)):
-            resp[c, t] = sig
+        for c, s in enumerate(step(x, e)):
+            resp[c, t] = s
     carry = x[:, :nx]
-    inputs = [slice(nx + j * T, nx + (j + 1) * T) for j in (0, 1)]
 
-    kick = sum(d @ x[:, i].T for d, i in zip(drive, inputs))
-    starts = []
+    powers = [np.eye(nx), carry]
+    while len(powers) <= _SUPER:
+        nxt = carry @ powers[-1]
+        if not np.isfinite(nxt).all():
+            break
+        powers.append(nxt)
+    S = len(powers) - 1
+    # row block i maps [superblock start | state kicks of its S blocks] to
+    # the start of its block i; row block S gives the next superblock's start
+    pw = np.array(powers + [np.zeros((nx, nx))])
+    i, j = np.ogrid[: S + 1, :S]
+    lag = np.where(j < i, i - 1 - j, S + 1)  # the zero block where j >= i
+    toeplitz = np.empty(((S + 1) * nx, (S + 1) * nx))
+    toeplitz[:, :nx] = pw[: S + 1].reshape((S + 1) * nx, nx)
+    toeplitz[:, nx:] = pw[lag].transpose(0, 2, 1, 3).reshape((S + 1) * nx, S * nx)
+
+    stacked = np.empty((blocks, nx + 2 * T))
+    stacked[:, nx : nx + T] = sig[0].reshape(blocks, T)
+    stacked[:, nx + T :] = sig[1].reshape(blocks, T)
+    supers = -(-blocks // S)
+    kick = np.zeros((supers * S, nx))
+    np.matmul(stacked[:, nx:], x[:, nx:].T, out=kick[:blocks])
+    sb = np.empty((supers, (S + 1) * nx))
+    sb[:, nx:] = kick.reshape(supers, S * nx)
+    ends = sb[:, nx:] @ toeplitz[S * nx :, nx:].T
+    step_super = powers[S]
     xk = x0
-    for g in kick:
-        starts.append(xk)
-        xk = carry.dot(xk) + g
-    starts = np.array(starts)
+    for m in range(supers):
+        sb[m, :nx] = xk
+        xk = step_super.dot(xk) + ends[m]
+    starts = sb @ toeplitz[: S * nx].T
+    stacked[:, :nx] = starts.reshape(supers * S, nx)[:blocks]
 
-    out = []
-    for r in resp:
-        sig = np.empty(drive[0].size)
-        view = sig.reshape(-1, T)
-        np.matmul(starts, r[:, :nx].T, out=view)
-        for d, i in zip(drive, inputs):
-            view += d @ r[:, i].T
-        out.append(sig)
-    return out
+    for c in range(4):
+        np.matmul(stacked, resp[c].T, out=sig[c].reshape(blocks, T))
 
 
 def simulate_loop(cfg: SimulationConfig) -> TrajectorySet:
@@ -272,31 +307,37 @@ def simulate_loop(cfg: SimulationConfig) -> TrajectorySet:
     x0 = np.concatenate([np.zeros(sum(shaping)), x0])
 
     blocks = -(-n // _BLOCK)
-    drive = np.zeros((2, blocks, _BLOCK))
+    sig = np.zeros((4, blocks * _BLOCK))  # the innovations, then the signals
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    for d, spec in zip(drive, (model.channel_noise, model.output_disturbance)):
-        eps = d.reshape(-1)[:n]
+    for eps, spec in zip(sig, (model.channel_noise, model.output_disturbance)):
+        eps = eps[:n]
         rng.standard_normal(out=eps)
         eps *= math.sqrt(spec.variance)
+    limit = DIVERGENCE_LIMIT
     with np.errstate(all="ignore"):
-        w_sig, v_sig, z_out, u_out = (s[:n] for s in _lifted_run(step, x0, drive))
+        _lifted_run(step, x0, sig)
+        w_sig, v_sig, z_out, u_out = sig[:, :n]
         y_out = z_out + w_sig
-        limit = DIVERGENCE_LIMIT
-        # w and v hold NaN only after a loop state overflowed (0 * inf in the
-        # carry); that is the loop's divergence, reported below
-        for name, sig in (("w", w_sig), ("v", v_sig)):
-            if np.any(np.abs(sig) > limit):
-                raise DivergenceError(f"noise signal {name} diverged during shaping")
-        bad = ~((np.abs(y_out) <= limit) & (np.abs(u_out) <= limit))
-    if bad.any():
-        t = int(np.argmax(bad))
-        yt, ut = y_out[t], u_out[t]
-        raise DivergenceError(
-            f"signal magnitude exceeded {limit:g} at sample {t} "
-            "(non-stabilizing configuration or numerical blow-up)",
-            index=t,
-            value=yt if abs(yt) > limit else ut,
+        # min and max carry NaN, so in-range extremes clear every sample
+        in_range = all(
+            -limit <= s.min() and s.max() <= limit for s in (w_sig, v_sig, y_out, u_out)
         )
+        if not in_range:
+            # w and v hold NaN only after a loop state overflowed (0 * inf in
+            # the carry); that is the loop's divergence, reported below
+            for name, s in (("w", w_sig), ("v", v_sig)):
+                if np.any(np.abs(s) > limit):
+                    raise DivergenceError(f"noise signal {name} diverged during shaping")
+            bad = ~((np.abs(y_out) <= limit) & (np.abs(u_out) <= limit))
+            if bad.any():
+                t = int(np.argmax(bad))
+                yt, ut = y_out[t], u_out[t]
+                raise DivergenceError(
+                    f"signal magnitude exceeded {limit:g} at sample {t} "
+                    "(non-stabilizing configuration or numerical blow-up)",
+                    index=t,
+                    value=yt if abs(yt) > limit else ut,
+                )
 
     k = cfg.burn_in
     kept = n - k

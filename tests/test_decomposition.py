@@ -321,6 +321,24 @@ def test_decompose_takes_each_polynomials_roots_once(monkeypatch):
     assert calls[len(taken):] == taken[-1:]
 
 
+def test_independence_check_takes_the_disturbance_roots_once(monkeypatch):
+    model = colored_dynamic_h_model()
+    controllers = [
+        placed_controller(targets)
+        for targets in (
+            [0.1, 0.2, -0.3], [0.0, 0.4, 0.5], [-0.2, 0.3j, -0.3j], [0.3, -0.1, 0.2]
+        )
+    ]
+    calls = _count_roots(monkeypatch)
+    decompose(RateInputs(model, FrequencyGrid(512)))
+    disturbance = calls[-1]  # the root set decompose takes last, on every call
+    del calls[:]
+    report = controller_independence_check(model, controllers, FrequencyGrid(512))
+    assert report.passed
+    # the disturbance spectrum holds no controller: its roots are taken once
+    assert calls.count(disturbance) == 1
+
+
 def test_near_singular_integrand_raises_at_once(monkeypatch):
     """|F_wy|^2 is 4e-14 at omega = 0, a point of every grid, so no finer grid
     can help: decompose raises on the requested grid, naming that omega."""

@@ -3,6 +3,9 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -61,6 +64,17 @@ def test_zero_noise_gives_zero_signals():
         tf([0.0, 1.0], [1.0, -0.5]), tf([-0.3]), TF_ONE, white(0.0), white(0.0)
     )
     traj = simulate_loop(SimulationConfig(m, n_samples=2**13, seed=0))
+    for sig in (traj.y, traj.w, traj.v, traj.z, traj.u):
+        assert np.all(sig == 0.0)
+
+
+def test_silent_unstable_loop_stays_silent():
+    # closed-loop pole 2.9: the 64-sample carry's 11th power overflows, and
+    # the zero state must never meet it (0 * inf is NaN)
+    m = LoopModel(
+        tf([0.0, 1.0], [1.0, -3.0]), tf([-0.1]), TF_ONE, white(0.0), white(0.0)
+    )
+    traj = simulate_loop(SimulationConfig(m, n_samples=2**14, seed=0))
     for sig in (traj.y, traj.w, traj.v, traj.z, traj.u):
         assert np.all(sig == 0.0)
 
@@ -250,11 +264,16 @@ def test_block_runner_matches_per_sample_recursion(plant, controller, feedback, 
     assert worst_relative_error(model, n_samples=2**13, burn_in=0, seed=3) <= 1e-13
 
 
-@pytest.mark.parametrize("n_samples", [4100, 50])
-def test_block_runner_pads_the_last_block(worked_model, n_samples):
+@pytest.mark.parametrize(
+    "n_samples, state",
+    # 4100 samples end one block into a superblock of the carry
+    [(4100, ()), (50, ()), (4100, (0.7,))],
+    ids=["4100", "50", "4100-initial-state"],
+)
+def test_block_runner_pads_the_last_block(worked_model, n_samples, state):
     model = LoopModel(
         worked_model.plant, worked_model.controller, worked_model.feedback_filter,
-        COLORED_W, COLORED_V,
+        COLORED_W, COLORED_V, initial_state=state,
     )
     assert worst_relative_error(model, n_samples=n_samples, burn_in=0, seed=4) <= 1e-13
 
@@ -288,8 +307,11 @@ def test_block_runner_large_transient_gain():
 
 @pytest.mark.parametrize(
     "plant_pole, gain, n_samples",
-    [(2.0, -0.1, 2**13), (0.5, 0.51, 2**13)],  # closed-loop poles 1.9 and 1.01
-    ids=["fast", "slow"],
+    # closed-loop poles 1.9, 1.01, 2.9 and 1.003; at 2.9 the carry's powers
+    # overflow within the first superblock, at 1.003 the loop diverges in a
+    # later one
+    [(2.0, -0.1, 2**13), (0.5, 0.51, 2**13), (3.0, -0.1, 2**13), (0.5, 0.503, 2**14)],
+    ids=["fast", "slow", "overflowing-powers", "later-superblock"],
 )
 def test_divergence_index_matches_per_sample_recursion(plant_pole, gain, n_samples):
     model = LoopModel(
@@ -306,6 +328,46 @@ def test_divergence_index_matches_per_sample_recursion(plant_pole, gain, n_sampl
         "(non-stabilizing configuration or numerical blow-up)"
     )
     assert abs(got.value.value) > 1e12
+
+
+# An order-8 k_first loop: plant poles 1.6, 0.5 and -0.4 with feedthrough, a
+# dynamic H, a strictly proper controller placing seven closed-loop poles,
+# and a colored channel noise. Prints the sha256 of y, w, v, z and u.
+_TRAJECTORY_DIGEST = """
+import hashlib
+import numpy as np
+from loopinfo import LoopModel, SimulationConfig, colored, simulate_loop, tf, white
+from loopinfo.lti import pole_placement_controller
+
+plant = tf([1.0, 0.5, 0.2], np.poly([1.6, 0.5, -0.4]))
+h = tf([1.0, 0.5], [1.0, -0.3])
+k = pole_placement_controller(
+    plant * h * tf([0.0, 1.0]), (0.3, -0.3, 0.2, 0.1, -0.1, 0.4j, -0.4j)
+)
+model = LoopModel(
+    plant, tf([0.0] + list(k.num.coeffs), k.den.coeffs), h,
+    colored(1.3, tf([1.0, 0.4, -0.3], [1.0, -1.2, 0.72])), white(0.5),
+)
+traj = simulate_loop(SimulationConfig(model, n_samples=2**17, seed=9))
+digest = hashlib.sha256()
+for name in "ywvzu":
+    digest.update(getattr(traj, name).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_trajectories_are_byte_identical_across_blas_thread_counts():
+    digests = []
+    for count in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=count, OMP_NUM_THREADS=count)
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRAJECTORY_DIGEST],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------
