@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .config import RunOptions, load_config
 from .decomposition import (
@@ -54,8 +54,21 @@ def _r(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _poles_json(poles):
-    return [[_r(p.real), _r(p.imag)] for p in poles]
+def _report_json(fields: dict, factor: float = 1.0) -> dict:
+    """A report's fields as JSON values: floats rounded by _r and, except the
+    unitless rel_gap, scaled by the unit factor; complex poles as [re, im]
+    pairs; ints, bools and None unchanged."""
+
+    def value(key, x):
+        if isinstance(x, (list, tuple)):
+            return [value(key, item) for item in x]
+        if isinstance(x, complex):
+            return [_r(x.real), _r(x.imag)]
+        if isinstance(x, float):
+            return _r(x if key == "rel_gap" else x * factor)
+        return x
+
+    return {key: value(key, x) for key, x in fields.items()}
 
 
 def _emit(text: str, output):
@@ -76,16 +89,6 @@ def _grid(args, options: RunOptions) -> FrequencyGrid:
     return FrequencyGrid(args.grid if args.grid is not None else options.grid_points)
 
 
-def _stability_block(report):
-    return {
-        "is_stabilizing": report.is_stabilizing,
-        "degenerate": report.degenerate,
-        "closed_loop_poles": _poles_json(report.closed_loop_poles),
-        "offending_poles": _poles_json(report.offending_poles),
-        "unstable_cancellations": _poles_json(report.unstable_cancellations),
-    }
-
-
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     factor, units = _units(args, cfg.options)
@@ -93,7 +96,7 @@ def cmd_analyze(args) -> int:
 
     stab = is_stabilizing(cfg.model)
     if not stab.is_stabilizing:
-        doc = {"stability": _stability_block(stab)}
+        doc = {"stability": _report_json(asdict(stab))}
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
         return EXIT_UNSTABLE
 
@@ -101,17 +104,9 @@ def cmd_analyze(args) -> int:
     report = decompose(inputs)
 
     doc = {
-        "stability": _stability_block(stab),
+        "stability": _report_json(asdict(stab)),
         "units": units,
-        "rate": {
-            "total_rate": _r(report.total_rate * factor),
-            "control_term": _r(report.control_term * factor),
-            "disturbance_term": _r(report.disturbance_term * factor),
-            "residual": _r(report.residual * factor),
-            "bode_analytic": _r(report.bode_analytic * factor),
-            "grid_points": report.grid_points,
-            "convergence_estimate": _r(report.convergence_estimate * factor),
-        },
+        "rate": _report_json(report.as_dict(), factor),
     }
     if args.integrands:
         export_integrands(inputs, args.integrands)
@@ -164,11 +159,7 @@ def cmd_verify(args) -> int:
         "units": units,
         "residual": _r(report.residual * factor),
         "residual_pass": abs(report.residual) < RESIDUAL_LIMIT,
-        "independence": {
-            "disturbance_terms": [_r(t * factor) for t in independence.disturbance_terms],
-            "max_deviation": _r(independence.max_deviation * factor),
-            "passed": independence.passed,
-        },
+        "independence": _report_json(independence.as_dict(), factor),
         "grid_points": grid.n_points,
     }
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
@@ -185,18 +176,7 @@ def cmd_simulate(args) -> int:
     sim = SimulationConfig(cfg.model, n_samples=cfg.options.n_samples, seed=seed)
     record = compare_report(sim, tolerance=args.tolerance, grid=grid)
 
-    doc = {
-        "units": units,
-        "seed": record.seed,
-        "n_samples": record.n_samples,
-        "analytic_rate": _r(record.analytic_rate * factor),
-        "empirical_rate": _r(record.empirical_rate * factor),
-        "abs_gap": _r(record.abs_gap * factor),
-        "rel_gap": _r(record.rel_gap) if record.rel_gap is not None else None,
-        "tolerance": _r(record.tolerance * factor),
-        "passed": record.passed,
-        "floored_bins": record.floored_bins,
-    }
+    doc = {"units": units, **_report_json(record.as_dict(), factor)}
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return EXIT_OK if record.passed else EXIT_TOLERANCE
 

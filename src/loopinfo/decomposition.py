@@ -13,7 +13,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -108,15 +108,7 @@ class DecompositionReport:
             )
 
     def as_dict(self) -> dict:
-        return {
-            "total_rate": self.total_rate,
-            "control_term": self.control_term,
-            "disturbance_term": self.disturbance_term,
-            "residual": self.residual,
-            "bode_analytic": self.bode_analytic,
-            "grid_points": self.grid_points,
-            "convergence_estimate": self.convergence_estimate,
-        }
+        return asdict(self)
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.as_dict(), **kwargs)
@@ -249,11 +241,11 @@ def _decompose(
     exact_disturbance: float | None = None,
 ) -> tuple[DecompositionReport, LoopSpectra, float]:
     """decompose, also returning the spectra it used, on the report's grid,
-    and the exact disturbance term. reuse, a LoopSpectra of the same sources
-    and H under another controller, lends its controller-free parts when it
-    lies on the grid; exact_disturbance, the exact term of the same sources
-    and H, which hold no controller, is used as given."""
-    if reuse is not None and reuse.grid == grid:
+    and the exact disturbance term. reuse, a LoopSpectra on the same grid of
+    the same sources and H under another controller, lends its controller-free
+    parts; exact_disturbance, the exact term of the same sources and H, which
+    hold no controller, is used as given."""
+    if reuse is not None:
         spectra = reuse.with_closed_loop(cl)
     else:
         spectra = LoopSpectra.evaluate(model, cl, grid)
@@ -315,12 +307,7 @@ class IndependenceReport:
     tolerance: float = 1e-9
 
     def as_dict(self) -> dict:
-        return {
-            "disturbance_terms": list(self.disturbance_terms),
-            "max_deviation": self.max_deviation,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 def controller_independence_check(

@@ -4,15 +4,18 @@ The loop is run as the per-element recursion through the noise-shaping
 filters, plant, feedback filter, and controller (direct-form II transposed
 states), never through the closed-form maps the analytic path uses (no
 close_loop) — agreement between the two routes is then an actual check, not
-a tautology. The recursion is advanced in blocks of 64 samples: the block
-maps are its own responses over 64 steps, taken by stepping it from unit
-states and unit innovations (lifting). The state carried from block to block
-advances up to 32 blocks per step, through powers of the 64-sample carry
-that come from stepping the block recursion itself, capped at the last
-finite one; powers of a probed one-sample state map would lose accuracy on
-loops with large transient gain. Spectra of the recorded trajectories are
-estimated with Welch's method and pushed through the same log-integral
-engine as the analytic path.
+a tautology. Each sample takes one step, the same for every loop: the
+control u is solved from the elements' free responses, which is exact
+because the loop gain is strictly proper, and then the plant, feedback
+filter and controller advance in that order. The recursion is advanced in
+blocks of 64 samples: the block maps are its own responses over 64 steps,
+taken by stepping it from unit states and unit innovations (lifting). The
+state carried from block to block advances up to 32 blocks per step, through
+powers of the 64-sample carry that come from stepping the block recursion
+itself, capped at the last finite one; powers of a probed one-sample state
+map would lose accuracy on loops with large transient gain. Spectra of the
+recorded trajectories are estimated with Welch's method and pushed through
+the same log-integral engine as the analytic path.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -101,9 +104,10 @@ class TrajectorySet:
 
 @dataclass(frozen=True)
 class WelchParams:
+    """Welch settings; every segment is tapered by the periodic Hann window."""
+
     segment_length: int = 1024
     overlap_fraction: float = 0.5
-    window: str = "hann"
 
     def __post_init__(self):
         n = self.segment_length
@@ -113,8 +117,6 @@ class WelchParams:
             raise InvalidInputError(
                 f"overlap fraction must lie in [0, 1), got {self.overlap_fraction!r}"
             )
-        if self.window != "hann":
-            raise InvalidInputError(f"only the hann window is supported, got {self.window!r}")
 
 
 class _Df2t:
@@ -161,6 +163,12 @@ def _loop_step(model: LoopModel):
     x holds the state rows: the shaping filters of w and of v, then plant,
     feedback filter and controller (the initial_state order); e holds the
     driven innovations of w and v. Returns step and the five state counts.
+
+    With feedthrough gains gp, gh, gk and free responses p0, h0, k0 (the
+    outputs each element would give for a zero input), the loop's algebraic
+    constraint u = gk*(gh*(gp*u + p0 + v) + h0 + w) + k0 has the solution
+    u = gk*(gh*(p0 + v) + h0 + w) + k0, exact because LoopModel admits only
+    loops with gp*gh*gk == 0. P, H and K are then stepped in that order.
     """
     shape_w, shape_v = (
         _Df2t(spec.shaping if spec.kind == "colored" else TF_ONE)
@@ -169,18 +177,7 @@ def _loop_step(model: LoopModel):
     fp, fh, fk = (
         _Df2t(f) for f in (model.plant, model.feedback_filter, model.controller)
     )
-    if fp.b[0] != 0.0:
-        if fk.b[0] == 0.0:
-            order = "k_first"
-        elif fh.b[0] == 0.0:
-            order = "h_first"
-        else:
-            raise InvalidInputError(
-                "no exactly-zero feedthrough in P, K, H; the loop recursion "
-                "needs one strictly proper element"
-            )
-    else:
-        order = "p_first"
+    gh, gk = fh.b[0], fk.b[0]
     orders = [f.order for f in (shape_w, shape_v, fp, fh, fk)]
     ends = np.cumsum(orders).tolist()
     rows = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
@@ -189,19 +186,10 @@ def _loop_step(model: LoopModel):
         sw, sv, sp, sh, sk = (x[r] for r in rows)
         wt = shape_w.step(sw, e[0])
         vt = shape_v.step(sv, e[1])
-        if order == "p_first":
-            pt = fp.pending(sp)  # gp == 0: plant output ignores u_t
-            zt = fh.step(sh, pt + vt)
-            ut = fk.step(sk, zt + wt)
-            fp.step(sp, ut)
-        elif order == "k_first":
-            ut = fk.pending(sk)  # gk == 0
-            zt = fh.step(sh, fp.step(sp, ut) + vt)
-            fk.step(sk, zt + wt)
-        else:
-            zt = fh.pending(sh)  # gh == 0
-            ut = fk.step(sk, zt + wt)
-            fh.step(sh, fp.step(sp, ut) + vt)
+        p0, h0, k0 = fp.pending(sp), fh.pending(sh), fk.pending(sk)
+        ut = gk * (gh * (p0 + vt) + h0 + wt) + k0
+        zt = fh.step(sh, fp.step(sp, ut) + vt)
+        fk.step(sk, zt + wt)
         return wt, vt, zt, ut
 
     return step, orders
@@ -284,8 +272,9 @@ def _lifted_run(step, x0: np.ndarray, sig: np.ndarray) -> None:
 def simulate_loop(cfg: SimulationConfig) -> TrajectorySet:
     """Run the loop recursion and record post-burn-in trajectories.
 
-    Per sample: the one strictly proper element of (P, K, H) breaks the
-    algebraic loop, fixing the update order; noise innovations are drawn
+    Per sample: u solves the loop's algebraic constraint in closed form,
+    because the feedthrough product of P, H and K is zero, and then P, H and
+    K are stepped in that order (see _loop_step); noise innovations are drawn
     once up front (w first, then v) from a Philox stream keyed by the seed,
     so trajectories are bit-reproducible for a given seed. The recursion is
     advanced 64 samples at a time (see _lifted_run).
@@ -383,19 +372,6 @@ def welch_psd(
     return SpectrumSamples(grid, vals)
 
 
-def _floored_log_ratio(sy: SpectrumSamples, sw: SpectrumSamples) -> tuple[float, int]:
-    floored = int(np.sum(sy.values < PSD_FLOOR) + np.sum(sw.values < PSD_FLOOR))
-    if floored:
-        warnings.warn(
-            f"floored {floored} near-zero PSD bins at {PSD_FLOOR:g}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        sy = SpectrumSamples(sy.grid, np.maximum(sy.values, PSD_FLOOR))
-        sw = SpectrumSamples(sw.grid, np.maximum(sw.values, PSD_FLOOR))
-    return log_integral(sensitivity_ratio(sy, sw)), floored
-
-
 def empirical_directed_info(
     traj: TrajectorySet,
     params: WelchParams = WelchParams(),
@@ -410,7 +386,16 @@ def _empirical_detail(traj, params, grid) -> tuple[float, int]:
     grid = grid or FrequencyGrid()
     sy = welch_psd(traj.y, params, grid)
     sw = welch_psd(traj.w, params, grid)
-    return _floored_log_ratio(sy, sw)
+    floored = int(np.sum(sy.values < PSD_FLOOR) + np.sum(sw.values < PSD_FLOOR))
+    if floored:
+        warnings.warn(
+            f"floored {floored} near-zero PSD bins at {PSD_FLOOR:g}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        sy = SpectrumSamples(sy.grid, np.maximum(sy.values, PSD_FLOOR))
+        sw = SpectrumSamples(sw.grid, np.maximum(sw.values, PSD_FLOOR))
+    return log_integral(sensitivity_ratio(sy, sw)), floored
 
 
 @dataclass(frozen=True)
@@ -428,17 +413,7 @@ class ComparisonRecord:
     floored_bins: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_samples": self.n_samples,
-            "analytic_rate": self.analytic_rate,
-            "empirical_rate": self.empirical_rate,
-            "abs_gap": self.abs_gap,
-            "rel_gap": self.rel_gap,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "floored_bins": self.floored_bins,
-        }
+        return asdict(self)
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.as_dict(), **kwargs)

@@ -60,13 +60,9 @@ class FrequencyGrid:
         """The points e^{-j omega}, at which every transfer function is evaluated."""
         return _unit_circle(self.n_points)
 
-    def doubled(self) -> "FrequencyGrid":
-        """The 2n-point grid, whose even-indexed samples are exactly this grid's."""
-        return FrequencyGrid(2 * self.n_points)
 
-
-# Grids are rebuilt freely (doubled() makes a new one each call), so their
-# sample arrays are cached per size, read-only, for the last few sizes used.
+# Grids are rebuilt freely (each defaulted grid argument is a new one), so
+# their sample arrays are cached per size, read-only, for the last few sizes used.
 @lru_cache(maxsize=6)
 def _omegas(n: int) -> np.ndarray:
     # 2*pi*k/n is exact up to one rounding that a power-of-two n does not

@@ -240,6 +240,38 @@ def test_simulate_divergence_exits_2(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# JSON key sets: each report's dataclass fields, plus the command's own keys
+
+STABILITY_KEYS = {
+    "is_stabilizing", "closed_loop_poles", "offending_poles",
+    "unstable_cancellations", "degenerate",
+}
+
+
+def test_json_key_sets(loop_config):
+    doc = json.loads(run_cli("analyze", str(loop_config)).stdout)
+    assert set(doc) == {"stability", "units", "rate"}
+    assert set(doc["stability"]) == STABILITY_KEYS
+    assert set(doc["rate"]) == {
+        "total_rate", "control_term", "disturbance_term", "residual",
+        "bode_analytic", "grid_points", "convergence_estimate",
+    }
+
+    res = run_cli("verify", str(loop_config), "--alt-controller", "[-2.5]", "[1.0]")
+    doc = json.loads(res.stdout)
+    assert set(doc) == {"units", "residual", "residual_pass", "independence", "grid_points"}
+    assert set(doc["independence"]) == {
+        "disturbance_terms", "max_deviation", "passed", "tolerance",
+    }
+
+    doc = json.loads(run_cli("simulate", str(loop_config)).stdout)
+    assert set(doc) == {
+        "units", "seed", "n_samples", "analytic_rate", "empirical_rate",
+        "abs_gap", "rel_gap", "tolerance", "passed", "floored_bins",
+    }
+
+
+# ---------------------------------------------------------------------------
 # sweep
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ from loopinfo import (
     FrequencyGrid,
     InvalidInputError,
     LoopModel,
+    RateInputs,
     SimulationConfig,
     TrajectorySet,
     WelchParams,
     compare_report,
     colored,
+    decompose,
     empirical_directed_info,
     simulate_loop,
     tf,
@@ -264,6 +267,24 @@ def test_block_runner_matches_per_sample_recursion(plant, controller, feedback, 
     assert worst_relative_error(model, n_samples=2**13, burn_in=0, seed=3) <= 1e-13
 
 
+def test_underflowing_feedthrough_product_simulates():
+    # P(0) * K(0) * H(0) underflows to zero, so LoopModel accepts the loop
+    # although no element has exactly zero feedthrough
+    controller, feedback = tf([1e-200, -0.3]), tf([1.0, 0.5])
+    tiny = LoopModel(
+        tf([1e-200, 1.0], [1.0, -0.5]), controller, feedback, white(1.0), white(0.5)
+    )
+    exact = replace(tiny, plant=tf([0.0, 1.0], [1.0, -0.5]))
+    assert decompose(RateInputs(tiny)).total_rate > 0.0
+    got, want = (
+        simulate_loop(SimulationConfig(m, n_samples=2**13, seed=2)) for m in (tiny, exact)
+    )
+    for name in ("y", "w", "v", "z", "u"):
+        ref = getattr(want, name)
+        err = np.max(np.abs(getattr(got, name) - ref))
+        assert err <= 1e-12 * np.max(np.abs(ref)), name
+
+
 @pytest.mark.parametrize(
     "n_samples, state",
     # 4100 samples end one block into a superblock of the carry
@@ -379,8 +400,6 @@ def test_welch_params_validation():
         WelchParams(segment_length=1000)
     with pytest.raises(InvalidInputError):
         WelchParams(overlap_fraction=1.0)
-    with pytest.raises(InvalidInputError):
-        WelchParams(window="hamming")
 
 
 def test_welch_white_noise_is_flat():

@@ -52,13 +52,13 @@ def test_grid_omegas_read_only_and_doubled():
     g = FrequencyGrid(64)
     with pytest.raises(ValueError):
         g.omegas[0] = 0.0
-    assert g.doubled().n_points == 128
+    assert FrequencyGrid(2 * g.n_points).omegas.shape == (128,)
 
 
 def test_doubled_grid_even_samples_are_the_grid_exactly():
     for k in range(6, 21):
         n = 2**k
-        coarse, fine = FrequencyGrid(n), FrequencyGrid(n).doubled()
+        coarse, fine = FrequencyGrid(n), FrequencyGrid(2 * n)
         assert np.array_equal(fine.omegas[::2], coarse.omegas)
         if k <= 16:
             assert np.array_equal(fine.unit_circle[::2], coarse.unit_circle)
@@ -67,7 +67,7 @@ def test_doubled_grid_even_samples_are_the_grid_exactly():
 def test_grid_samples_cached_and_read_only():
     g = FrequencyGrid(256)
     assert g.unit_circle is FrequencyGrid(256).unit_circle
-    assert g.doubled().omegas is FrequencyGrid(512).omegas
+    assert FrequencyGrid(2 * g.n_points).omegas is FrequencyGrid(512).omegas
     with pytest.raises(ValueError):
         g.unit_circle[0] = 1.0
     assert np.array_equal(g.unit_circle, np.exp(-1j * g.omegas))
