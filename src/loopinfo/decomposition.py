@@ -119,26 +119,27 @@ def gaussian_entropy_rate(s: SpectrumSamples) -> float:
     return 0.5 * math.log(2.0 * math.pi * math.e) + 0.5 * log_integral(s)
 
 
-@dataclass(frozen=True)
-class _Integrands:
-    """Per-frequency integrand samples on one grid, plus the PSD-scale
-    quantities a log is taken of (for near-singularity detection)."""
+def _integrands(
+    spectra: LoopSpectra, take, known_disturbance=None
+) -> tuple[tuple, float | None]:
+    """Apply take to each per-frequency integrand of the split, in turn:
+    log sqrt(S_Y/S_W) (the rate), (1/2) log|F_wy|^2 (the control term), the
+    simplified disturbance integrand (1/2) log(1 + |H|^2 S_V/S_W) and its
+    F-ratio form (1/2) log(1 + |F_vy|^2 S_V/(|F_wy|^2 S_W)).
 
-    log_ratio: np.ndarray
-    log_fwy: np.ndarray
-    disturbance: np.ndarray
-    disturbance_alt: np.ndarray
-    ratio2: np.ndarray
-    fwy2: np.ndarray
-
-
-def _integrands(spectra: LoopSpectra) -> _Integrands:
-    sw, sv, fwy2 = spectra.sw, spectra.sv, spectra.fwy2
-    ratio = sensitivity_ratio(spectra.sy, sw)
-    ratio2 = ratio.values**2
+    Returns the four results and the first omega at which the squared
+    sensitivity ratio or |F_wy|^2 lies below NEAR_SINGULAR_FLOOR (None if
+    none). Every integrand is formed in one scratch array that the next one
+    overwrites, so take must not keep its argument. known_disturbance, take's
+    result on the simplified form of the same sources and H, is returned in
+    its place: that form holds no controller.
+    """
+    sw, sv, fwy2 = spectra.sw.values, spectra.sv.values, spectra.fwy2
+    ratio = sensitivity_ratio(spectra.sy, spectra.sw).values
+    scratch = np.square(ratio)
 
     omegas = spectra.grid.omegas
-    for label, vals in (("sensitivity ratio", ratio2), ("|f_wy|^2", fwy2)):
+    for label, vals in (("sensitivity ratio", scratch), ("|f_wy|^2", fwy2)):
         nonpos = vals <= 0.0
         if np.any(nonpos):
             k = int(np.argmax(nonpos))
@@ -147,8 +148,13 @@ def _integrands(spectra: LoopSpectra) -> _Integrands:
                 omega=float(omegas[k]),
                 value=float(vals[k]),
             )
+    low = scratch < NEAR_SINGULAR_FLOOR
+    low |= fwy2 < NEAR_SINGULAR_FLOOR
+    low_omega = float(omegas[np.argmax(low)]) if np.any(low) else None
 
-    denom = fwy2 * sw.values
+    total = take(np.log(ratio, out=scratch))
+    del ratio  # freed before denom is formed
+    denom = np.multiply(fwy2, sw)
     tiny = denom <= 1e-300
     if np.any(tiny):
         k = int(np.argmax(tiny))
@@ -157,14 +163,23 @@ def _integrands(spectra: LoopSpectra) -> _Integrands:
             omega=float(omegas[k]),
         )
 
-    return _Integrands(
-        log_ratio=np.log(ratio.values),
-        log_fwy=0.5 * np.log(fwy2),
-        disturbance=0.5 * np.log1p(spectra.h2 * sv.values / sw.values),
-        disturbance_alt=0.5 * np.log1p(spectra.fvy2 * sv.values / denom),
-        ratio2=ratio2,
-        fwy2=fwy2,
-    )
+    def half_log1p(out):
+        np.log1p(out, out=out)
+        out *= 0.5
+        return take(out)
+
+    np.log(fwy2, out=scratch)
+    scratch *= 0.5
+    control = take(scratch)
+    disturbance = known_disturbance
+    if disturbance is None:
+        np.multiply(spectra.h2, sv, out=scratch)
+        scratch /= sw
+        disturbance = half_log1p(scratch)
+    np.multiply(spectra.fvy2, sv, out=scratch)
+    scratch /= denom
+    disturbance_alt = half_log1p(scratch)
+    return (total, control, disturbance, disturbance_alt), low_omega
 
 
 def bode_term_analytic(model: LoopModel) -> float:
@@ -233,36 +248,40 @@ def decompose(inputs: RateInputs) -> DecompositionReport:
     return _decompose(inputs.model, inputs.closed_loop, inputs.grid)[0]
 
 
+def _mean(x: np.ndarray) -> float:
+    return float(np.mean(x))
+
+
+_Decomposed = tuple[DecompositionReport, LoopSpectra, float]
+
+
 def _decompose(
     model: LoopModel,
     cl: ClosedLoop,
     grid: FrequencyGrid,
-    reuse: LoopSpectra | None = None,
-    exact_disturbance: float | None = None,
-) -> tuple[DecompositionReport, LoopSpectra, float]:
+    prior: _Decomposed | None = None,
+) -> _Decomposed:
     """decompose, also returning the spectra it used, on the report's grid,
-    and the exact disturbance term. reuse, a LoopSpectra on the same grid of
-    the same sources and H under another controller, lends its controller-free
-    parts; exact_disturbance, the exact term of the same sources and H, which
-    hold no controller, is used as given."""
-    if reuse is not None:
-        spectra = reuse.with_closed_loop(cl)
-    else:
+    and the exact disturbance term. prior, this return value for the same
+    sources and H on the same grid under another controller, lends the parts
+    that hold no controller: the source spectra and |H|^2, the simplified
+    disturbance mean and the exact disturbance term."""
+    if prior is None:
         spectra = LoopSpectra.evaluate(model, cl, grid)
-    parts = _integrands(spectra)
-    low = np.minimum(parts.ratio2, parts.fwy2) < NEAR_SINGULAR_FLOOR
-    if np.any(low):
-        w = float(grid.omegas[np.argmax(low)])
+        known = exact_disturbance = None
+    else:
+        prior_report, prior_spectra, exact_disturbance = prior
+        spectra = prior_spectra.with_closed_loop(cl)
+        known = prior_report.disturbance_term
+    means, low = _integrands(spectra, _mean, known)
+    if low is not None:
         raise SingularityError(
-            f"log integrand is near-singular (< {NEAR_SINGULAR_FLOOR:g}) at omega={w!r}; "
+            f"log integrand is near-singular (< {NEAR_SINGULAR_FLOOR:g}) at omega={low!r}; "
             "a closed-loop zero is too close to the unit circle",
-            omega=w,
+            omega=low,
         )
 
-    total = float(np.mean(parts.log_ratio))
-    control = float(np.mean(parts.log_fwy))
-    disturbance = float(np.mean(parts.disturbance))
-    disturbance_alt = float(np.mean(parts.disturbance_alt))
+    total, control, disturbance, disturbance_alt = means
     if abs(disturbance - disturbance_alt) > CROSS_CHECK_TOL:
         raise ConsistencyError(
             "the two disturbance-integrand forms disagree: "
@@ -323,7 +342,7 @@ def controller_independence_check(
     """
     grid = grid or FrequencyGrid()
     terms = []
-    spectra = exact = None
+    prior = None
     for i, k in enumerate(alt_controllers):
         candidate = replace(model, controller=k)
         try:
@@ -335,11 +354,10 @@ def controller_independence_check(
                 poles=getattr(exc, "poles", ()),
             ) from exc
         # the sources and H do not depend on the controller: evaluate them,
-        # and the exact disturbance term, once
-        report, spectra, exact = _decompose(
-            candidate, inputs.closed_loop, grid, spectra, exact
-        )
-        terms.append(report.disturbance_term)
+        # the simplified disturbance mean and the exact term once; each
+        # controller still forms and cross-checks its own F-ratio form
+        prior = _decompose(candidate, inputs.closed_loop, grid, prior)
+        terms.append(prior[0].disturbance_term)
     deviation = max(terms) - min(terms) if terms else 0.0
     return IndependenceReport(
         disturbance_terms=tuple(terms),
@@ -351,10 +369,9 @@ def controller_independence_check(
 def export_integrands(inputs: RateInputs, target) -> None:
     """Write per-frequency integrand samples as CSV: columns omega, log_Syw,
     log_Fwy, disturbance_integrand."""
-    parts = _integrands(
-        LoopSpectra.evaluate(inputs.model, inputs.closed_loop, inputs.grid)
-    )
-    columns = (inputs.grid.omegas, parts.log_ratio, parts.log_fwy, parts.disturbance)
+    spectra = LoopSpectra.evaluate(inputs.model, inputs.closed_loop, inputs.grid)
+    (log_ratio, log_fwy, disturbance, _), _ = _integrands(spectra, np.copy)
+    columns = (inputs.grid.omegas, log_ratio, log_fwy, disturbance)
     _write_csv(
         target,
         ["omega", "log_Syw", "log_Fwy", "disturbance_integrand"],

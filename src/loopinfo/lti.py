@@ -221,9 +221,26 @@ TF_ZERO = tf([0.0])
 
 
 def freq_response_array(tf_: TransferFunction, omegas: np.ndarray) -> np.ndarray:
-    """Vectorized unit-circle response over an array of frequencies."""
+    """Vectorized unit-circle response over an array of frequencies, as a
+    new complex array (see _unit_circle_points and unit_circle_response for
+    the temporaries it avoids)."""
     omegas = np.asarray(omegas, dtype=float)
-    return unit_circle_response(tf_, np.exp(-1j * omegas), omegas)
+    return unit_circle_response(tf_, _unit_circle_points(omegas), omegas)
+
+
+def _unit_circle_points(omegas: np.ndarray) -> np.ndarray:
+    """e^{-j omega} for real omegas, as a new complex array.
+
+    cos(omega) and -sin(omega) are written straight into its real and
+    imaginary parts: the bits of np.exp(-1j * omegas), whose complex exp
+    also takes the C library's cosine and sine, without that expression's
+    second complex array for the argument.
+    """
+    e = np.empty(omegas.shape, dtype=complex)
+    np.cos(omegas, out=e.real)
+    np.negative(omegas, out=e.imag)
+    np.sin(e.imag, out=e.imag)
+    return e
 
 
 def _horner(points: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
@@ -231,10 +248,11 @@ def _horner(points: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
 
     The multiplies and adds are numpy polyval's, less its leading multiply
     by zero, so the values agree bit for bit; skipped are the temporaries
-    and the casting of each real coefficient against the complex array.
+    and the casting of each real coefficient against the complex array. A
+    constant polynomial is returned as a complex scalar, with no array.
     """
     if len(coeffs) == 1:
-        return np.full(points.shape, complex(coeffs[0]))
+        return complex(coeffs[0])
     acc = points * coeffs[-1]
     acc += coeffs[-2]
     for c in coeffs[-3::-1]:
@@ -249,17 +267,27 @@ def unit_circle_response(
     """num(e)/den(e) at precomputed unit-circle points e = e^{-j omega}.
 
     omegas are the frequencies of the points; they only name the first
-    singular sample in the error.
+    singular sample in the error. The denominator is tested before the
+    numerator is formed, and the quotient is written over one of the two,
+    so no more than two arrays of the points' size are alive at once; a
+    constant numerator or denominator is divided as a scalar, the same
+    numpy division with no array of its own.
     """
-    num = _horner(points, tf_.num.coeffs)
     den = _horner(points, tf_.den.coeffs)
     bad = np.abs(den) < 1e-12
     if np.any(bad):
-        w = float(np.asarray(omegas)[bad][0])
+        w = float(np.asarray(omegas).flat[np.argmax(bad)])
         raise SingularityError(
             f"denominator vanishes on the unit circle at omega={w!r}", omega=w
         )
-    return num / den
+    del bad
+    num = _horner(points, tf_.num.coeffs)
+    if isinstance(num, np.ndarray):
+        return np.divide(num, den, out=num)
+    if isinstance(den, np.ndarray):
+        return np.divide(num, den, out=den)
+    q = np.full(np.shape(points), num)
+    return np.divide(q, den, out=q)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ PSD_FLOOR = 1e-12
 
 _BLOCK = 64  # samples advanced per step of the lifted recursion
 _SUPER = 32  # blocks the carried state advances per step, at most
+_WELCH_BLOCK = 2**15  # samples of windowed segments transformed at once
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,13 @@ class SimulationConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrajectorySet:
-    """Post-burn-in signal records. y = z + w holds exactly at every sample."""
+    """Post-burn-in signal records. y = z + w holds exactly at every sample.
+
+    The signals are read-only. The constructor copies the arrays a caller
+    passes, so changing them later changes nothing here; simulate_loop hands
+    over the arrays it has just formed, through _owned, which checks them
+    the same way and makes them read-only but does not copy them.
+    """
 
     y: np.ndarray
     w: np.ndarray
@@ -75,21 +82,29 @@ class TrajectorySet:
     sample_count: int
 
     def __init__(self, y, w, v, z, u, seed, sample_count):
-        arrays = {}
-        for name, val in (("y", y), ("w", w), ("v", v), ("z", z), ("u", u)):
-            arr = np.asarray(val, dtype=float)
+        signals = (np.array(s, dtype=float) for s in (y, w, v, z, u))
+        self._adopt(*signals, seed, sample_count)
+
+    @classmethod
+    def _owned(cls, y, w, v, z, u, seed, sample_count) -> "TrajectorySet":
+        """A record taking over five float arrays, which no one else may write."""
+        t = cls.__new__(cls)
+        t._adopt(y, w, v, z, u, seed, sample_count)
+        return t
+
+    def _adopt(self, y, w, v, z, u, seed, sample_count) -> None:
+        arrays = {"y": y, "w": w, "v": v, "z": z, "u": u}
+        for name, arr in arrays.items():
             if arr.shape != (sample_count,):
                 raise InvalidInputError(
                     f"signal {name} has length {arr.shape}, expected {sample_count}"
                 )
             if not np.all(np.isfinite(arr)):
                 raise InvalidInputError(f"signal {name} contains non-finite samples")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            arrays[name] = arr
-        if not np.array_equal(arrays["y"], arrays["z"] + arrays["w"]):
+        if not np.array_equal(y, z + w):
             raise InvalidInputError("channel equation y = z + w violated")
         for name, arr in arrays.items():
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "seed", int(seed))
         object.__setattr__(self, "sample_count", int(sample_count))
@@ -328,11 +343,12 @@ def simulate_loop(cfg: SimulationConfig) -> TrajectorySet:
                     value=yt if abs(yt) > limit else ut,
                 )
 
+    # the record takes over views of sig and y_out, referenced nowhere else;
+    # read-only, they let no signal be written through them
+    sig.flags.writeable = y_out.flags.writeable = False
     k = cfg.burn_in
-    kept = n - k
-    return TrajectorySet(
-        y=y_out[k:], w=w_sig[k:], v=v_sig[k:], z=z_out[k:], u=u_out[k:],
-        seed=cfg.seed, sample_count=kept,
+    return TrajectorySet._owned(
+        y_out[k:], w_sig[k:], v_sig[k:], z_out[k:], u_out[k:], cfg.seed, n - k
     )
 
 
@@ -357,9 +373,19 @@ def welch_psd(
     scale = np.sum(win**2)
     hop = max(1, int(round(nseg * (1.0 - params.overlap_fraction))))
 
-    segs = np.lib.stride_tricks.sliding_window_view(x, nseg)[::hop] * win
-    # an axis-0 sum adds the periodograms row by row, in segment order
-    half = np.sum(np.abs(np.fft.rfft(segs, axis=-1)) ** 2, axis=0) / (len(segs) * scale)
+    segs = np.lib.stride_tricks.sliding_window_view(x, nseg)[::hop]
+    # The periodograms are formed a block of segments at a time, which keeps
+    # the temporaries small. Each block's first row takes the running sum,
+    # and an axis-0 sum adds the rows one by one, so every periodogram is
+    # added in segment order.
+    rows = max(1, _WELCH_BLOCK // nseg)
+    half = np.zeros(nseg // 2 + 1)
+    for lo in range(0, len(segs), rows):
+        power = np.abs(np.fft.rfft(segs[lo : lo + rows] * win, axis=-1))
+        np.square(power, out=power)
+        power[0] += half
+        np.sum(power, axis=0, out=half)
+    half /= len(segs) * scale
 
     full = np.empty(nseg)
     full[: nseg // 2 + 1] = half
@@ -369,7 +395,7 @@ def welch_psd(
     centered = np.roll(full, nseg // 2)
 
     vals = np.interp(grid.omegas, bin_omegas, centered, period=2.0 * np.pi)
-    return SpectrumSamples(grid, vals)
+    return SpectrumSamples._owned(grid, vals)
 
 
 def empirical_directed_info(
@@ -393,8 +419,8 @@ def _empirical_detail(traj, params, grid) -> tuple[float, int]:
             RuntimeWarning,
             stacklevel=2,
         )
-        sy = SpectrumSamples(sy.grid, np.maximum(sy.values, PSD_FLOOR))
-        sw = SpectrumSamples(sw.grid, np.maximum(sw.values, PSD_FLOOR))
+        sy = SpectrumSamples._owned(sy.grid, np.maximum(sy.values, PSD_FLOOR))
+        sw = SpectrumSamples._owned(sw.grid, np.maximum(sw.values, PSD_FLOOR))
     return log_integral(sensitivity_ratio(sy, sw)), floored
 
 

@@ -28,6 +28,7 @@ from .lti import (
     ClosedLoop,
     LoopModel,
     TransferFunction,
+    _unit_circle_points,
     unit_circle_response,
 )
 
@@ -74,20 +75,38 @@ def _omegas(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=6)
 def _unit_circle(n: int) -> np.ndarray:
-    e = np.exp(-1j * _omegas(n))
+    e = _unit_circle_points(_omegas(n))
     e.flags.writeable = False
     return e
 
 
 @dataclass(frozen=True, eq=False)
 class SpectrumSamples:
-    """Nonnegative, even-symmetric PSD samples on a FrequencyGrid."""
+    """Nonnegative, even-symmetric PSD samples on a FrequencyGrid.
+
+    values is read-only and owned by the spectrum. The constructor copies
+    the values a caller passes, so changing the caller's array later changes
+    nothing here. The library's own spectra (noise_psd, output_psd,
+    LoopSpectra.sy, sensitivity_ratio, welch_psd and its floored copies in
+    the empirical rate) are built by _owned from arrays just formed for them
+    and referenced nowhere else: validated the same way and made read-only,
+    but not copied.
+    """
 
     grid: FrequencyGrid
     values: np.ndarray
 
     def __init__(self, grid: FrequencyGrid, values):
-        v = np.asarray(values, dtype=float)
+        self._adopt(grid, np.array(values, dtype=float))
+
+    @classmethod
+    def _owned(cls, grid: FrequencyGrid, values: np.ndarray) -> "SpectrumSamples":
+        """A spectrum taking over values, a new float array no one else holds."""
+        s = cls.__new__(cls)
+        s._adopt(grid, values)
+        return s
+
+    def _adopt(self, grid: FrequencyGrid, v: np.ndarray) -> None:
         if v.shape != (grid.n_points,):
             raise InvalidInputError(
                 f"expected {grid.n_points} samples, got shape {v.shape}"
@@ -99,11 +118,17 @@ class SpectrumSamples:
             raise InvalidInputError(
                 f"negative PSD value {v[k]!r} at omega={grid.omegas[k]!r}"
             )
-        # v[k] must match its mirror v[n - k]; sample 0 is its own mirror
+        # v[k] must match its mirror v[n - k] within 1e-300 + 1e-9 * v[n - k];
+        # sample 0 is its own mirror. Two scratch arrays hold the gaps and the
+        # tolerances, rounded exactly as in abs(tail - mirror) > 1e-300 + 1e-9
+        # * mirror, so the decision keeps its bits.
         tail, mirror = v[1:], v[:0:-1]
-        if np.any(np.abs(tail - mirror) > 1e-300 + 1e-9 * mirror):
+        gap = np.subtract(tail, mirror)
+        np.abs(gap, out=gap)
+        tol = np.multiply(mirror, 1e-9)
+        tol += 1e-300
+        if np.any(gap > tol):
             raise InvalidInputError("spectrum is not even-symmetric on the grid")
-        v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", v)
@@ -149,26 +174,29 @@ def colored(variance: float, shaping: TransferFunction) -> NoiseSpec:
 
 
 def squared_gain(tf_: TransferFunction, grid: FrequencyGrid) -> np.ndarray:
-    """|tf(e^{-j omega})|^2 on the grid; a static gain c needs no evaluation."""
+    """|tf(e^{-j omega})|^2 on the grid, a new array; a static gain c needs
+    no evaluation."""
     if tf_.num.degree == 0 and tf_.den.degree == 0:
         c = tf_.num.coeffs[0] / tf_.den.coeffs[0]
         return np.full(grid.n_points, c * c)
-    return np.abs(unit_circle_response(tf_, grid.unit_circle, grid.omegas)) ** 2
+    mag = np.abs(unit_circle_response(tf_, grid.unit_circle, grid.omegas))
+    return np.square(mag, out=mag)
 
 
 def noise_psd(spec: NoiseSpec, grid: FrequencyGrid) -> SpectrumSamples:
     """PSD of the source on the grid: sigma^2, or sigma^2 * |G|^2."""
     if spec.kind == "white":
-        return SpectrumSamples(grid, np.full(grid.n_points, spec.variance))
-    g = unit_circle_response(spec.shaping, grid.unit_circle, grid.omegas)
-    mag = np.abs(g)
+        return SpectrumSamples._owned(grid, np.full(grid.n_points, spec.variance))
+    mag = np.abs(unit_circle_response(spec.shaping, grid.unit_circle, grid.omegas))
     if np.any(mag <= 1e-9):
         k = int(np.argmin(mag))
         raise SingularityError(
             f"shaping filter vanishes on the unit circle near omega={grid.omegas[k]!r}",
             omega=float(grid.omegas[k]),
         )
-    return SpectrumSamples(grid, spec.variance * mag**2)
+    np.square(mag, out=mag)
+    mag *= spec.variance
+    return SpectrumSamples._owned(grid, mag)
 
 
 def output_psd(
@@ -180,7 +208,7 @@ def output_psd(
             f"mismatched grids: {sw.grid.n_points} vs {sv.grid.n_points} points"
         )
     fwy, fvy = _closed_loop_gains(cl, sw.grid)
-    return SpectrumSamples(sw.grid, fwy * sw.values + fvy * sv.values)
+    return SpectrumSamples._owned(sw.grid, fwy * sw.values + fvy * sv.values)
 
 
 def _closed_loop_gains(cl: ClosedLoop, grid: FrequencyGrid):
@@ -232,7 +260,7 @@ class LoopSpectra:
     def sy(self) -> SpectrumSamples:
         """Loop-output PSD: |F_wy|^2 * S_W + |F_vy|^2 * S_V."""
         values = self.fwy2 * self.sw.values + self.fvy2 * self.sv.values
-        return SpectrumSamples(self.grid, values)
+        return SpectrumSamples._owned(self.grid, values)
 
 
 def sensitivity_ratio(sa: SpectrumSamples, sb: SpectrumSamples) -> SpectrumSamples:
@@ -248,7 +276,8 @@ def sensitivity_ratio(sa: SpectrumSamples, sb: SpectrumSamples) -> SpectrumSampl
             f"denominator spectrum vanishes at omega={sb.grid.omegas[k]!r}",
             omega=float(sb.grid.omegas[k]),
         )
-    return SpectrumSamples(sa.grid, np.sqrt(sa.values / sb.values))
+    ratio = np.divide(sa.values, sb.values)
+    return SpectrumSamples._owned(sa.grid, np.sqrt(ratio, out=ratio))
 
 
 def log_integral(s: SpectrumSamples) -> float:

@@ -38,7 +38,7 @@ def test_polynomial_zero_normal_form():
 
 def _at(p: Polynomial, x: complex) -> complex:
     """p at one point, by the Horner rule that unit-circle evaluation uses."""
-    return complex(_horner(np.array([complex(x)]), p.coeffs)[0])
+    return complex(np.asarray(_horner(np.array([complex(x)]), p.coeffs)).flat[0])
 
 
 def test_polynomial_evaluation():

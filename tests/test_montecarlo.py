@@ -112,6 +112,31 @@ def test_trajectory_set_validation():
         TrajectorySet(y=w, w=w, v=bad, z=z, u=z, seed=0, sample_count=n)
 
 
+def test_trajectory_set_copies_what_a_caller_passes():
+    n = 8
+    w, z = np.arange(n, dtype=float), np.full(n, 0.5)
+    y, v, u = z + w, np.ones(n), -np.ones(n)
+    traj = TrajectorySet(y=y, w=w, v=v, z=z, u=u, seed=0, sample_count=n)
+    for arr in (y, w, v, z, u):
+        arr[:] = 9.0
+    assert np.array_equal(traj.w, np.arange(n, dtype=float))
+    assert np.array_equal(traj.y, np.full(n, 0.5) + np.arange(n))
+    assert np.array_equal(traj.u, -np.ones(n))
+
+
+def test_simulated_signals_are_read_only(worked_model):
+    traj = simulate_loop(SimulationConfig(worked_model, n_samples=2**13, seed=1))
+    for name in ("y", "w", "v", "z", "u"):
+        arr = getattr(traj, name)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+        # nor through the array the record's signals are views of
+        base = arr.base if arr.base is not None else arr
+        with pytest.raises(ValueError):
+            base[...] = 1.0
+
+
 def test_trajectory_csv_layout(worked_model):
     traj = simulate_loop(SimulationConfig(worked_model, n_samples=4100, burn_in=4096, seed=0))
     buf = io.StringIO()

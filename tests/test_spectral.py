@@ -24,9 +24,11 @@ from loopinfo import (
     sensitivity_ratio,
     spectrum_csv_string,
     tf,
+    welch_psd,
     white,
 )
 from loopinfo.lti import TF_ONE
+from loopinfo.spectral import LoopSpectra
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +89,36 @@ def test_spectrum_samples_validation():
     assert not s.values.flags.writeable
     with pytest.raises(InvalidInputError):
         SpectrumSamples(g, np.linspace(1.0, 2.0, 64))
+
+
+def test_spectrum_samples_copies_what_a_caller_passes():
+    g = FrequencyGrid(64)
+    vals = 2.0 + np.cos(g.omegas)
+    s = SpectrumSamples(g, vals)
+    vals[:] = 7.0
+    assert np.array_equal(s.values, 2.0 + np.cos(g.omegas))
+    assert not np.shares_memory(s.values, vals)
+
+
+def test_library_built_spectra_are_read_only():
+    g = FrequencyGrid(256)
+    model = LoopModel(
+        tf([0.0, 1.0], [1.0, -0.5]), tf([-0.2]), tf([1.0, 0.5], [1.0, -0.3]),
+        colored(0.8, tf([1.0, -0.4])), colored(1.5, tf([1.0], [1.0, -0.6])),
+    )
+    cl = close_loop(model)
+    sw = noise_psd(model.channel_noise, g)
+    sv = noise_psd(model.output_disturbance, g)
+    spectra = LoopSpectra.evaluate(model, cl, g)
+    built = [
+        noise_psd(white(2.0), g), sw, sv, output_psd(cl, sw, sv), spectra.sy,
+        sensitivity_ratio(spectra.sy, sw),
+        welch_psd(np.random.default_rng(0).standard_normal(4096), grid=g),
+    ]
+    for s in built:
+        assert not s.values.flags.writeable
+        with pytest.raises(ValueError):
+            s.values[0] = 1.0
 
 
 # ---------------------------------------------------------------------------
