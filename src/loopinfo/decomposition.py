@@ -254,25 +254,27 @@ def _mean(x: np.ndarray) -> float:
 
 _Decomposed = tuple[DecompositionReport, LoopSpectra, float]
 
+# The parts of a decomposition that hold no controller: S_W, S_V, |H|^2, the
+# simplified disturbance mean and the exact disturbance term.
+_ControllerFree = tuple[SpectrumSamples, SpectrumSamples, np.ndarray, float, float]
+
 
 def _decompose(
     model: LoopModel,
     cl: ClosedLoop,
     grid: FrequencyGrid,
-    prior: _Decomposed | None = None,
+    free: _ControllerFree | None = None,
 ) -> _Decomposed:
     """decompose, also returning the spectra it used, on the report's grid,
-    and the exact disturbance term. prior, this return value for the same
-    sources and H on the same grid under another controller, lends the parts
-    that hold no controller: the source spectra and |H|^2, the simplified
-    disturbance mean and the exact disturbance term."""
-    if prior is None:
+    and the exact disturbance term. free, the controller-free parts of a
+    decomposition of the same sources and H on the same grid under another
+    controller, is taken instead of evaluating them again."""
+    if free is None:
         spectra = LoopSpectra.evaluate(model, cl, grid)
         known = exact_disturbance = None
     else:
-        prior_report, prior_spectra, exact_disturbance = prior
-        spectra = prior_spectra.with_closed_loop(cl)
-        known = prior_report.disturbance_term
+        sw, sv, h2, known, exact_disturbance = free
+        spectra = LoopSpectra.closing(sw, sv, h2, cl)
     means, low = _integrands(spectra, _mean, known)
     if low is not None:
         raise SingularityError(
@@ -342,7 +344,7 @@ def controller_independence_check(
     """
     grid = grid or FrequencyGrid()
     terms = []
-    prior = None
+    free = None
     for i, k in enumerate(alt_controllers):
         candidate = replace(model, controller=k)
         try:
@@ -356,8 +358,10 @@ def controller_independence_check(
         # the sources and H do not depend on the controller: evaluate them,
         # the simplified disturbance mean and the exact term once; each
         # controller still forms and cross-checks its own F-ratio form
-        prior = _decompose(candidate, inputs.closed_loop, grid, prior)
-        terms.append(prior[0].disturbance_term)
+        report, spectra, exact = _decompose(candidate, inputs.closed_loop, grid, free)
+        free = (spectra.sw, spectra.sv, spectra.h2, report.disturbance_term, exact)
+        del spectra  # its closed-loop gains and S_Y go before the next ones form
+        terms.append(report.disturbance_term)
     deviation = max(terms) - min(terms) if terms else 0.0
     return IndependenceReport(
         disturbance_terms=tuple(terms),

@@ -13,9 +13,13 @@ taken by stepping it from unit states and unit innovations (lifting). The
 state carried from block to block advances up to 32 blocks per step, through
 powers of the 64-sample carry that come from stepping the block recursion
 itself, capped at the last finite one; powers of a probed one-sample state
-map would lose accuracy on loops with large transient gain. Spectra of the
-recorded trajectories are estimated with Welch's method and pushed through
-the same log-integral engine as the analytic path.
+map would lose accuracy on loops with large transient gain. The maps depend
+only on the loop recursion, so they are built once per recursion (the five
+transfer functions it realizes) and kept, read-only, for the last 16 used;
+every run, seed and length then pays only its own draws and products. A
+source with unit shaping needs no product: its signal is its innovations.
+Spectra of the recorded trajectories are estimated with Welch's method and
+pushed through the same log-integral engine as the analytic path.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +50,7 @@ PSD_FLOOR = 1e-12
 _BLOCK = 64  # samples advanced per step of the lifted recursion
 _SUPER = 32  # blocks the carried state advances per step, at most
 _WELCH_BLOCK = 2**15  # samples of windowed segments transformed at once
+_MAPS_KEPT = 16  # loop recursions whose block maps are kept, the last used
 
 
 @dataclass(frozen=True)
@@ -172,11 +178,12 @@ class _Df2t:
         return y
 
 
-def _loop_step(model: LoopModel):
+def _loop_step(elements: tuple[TransferFunction, ...]):
     """The per-sample loop recursion as step(x, e) -> (w, v, z, u).
 
-    x holds the state rows: the shaping filters of w and of v, then plant,
-    feedback filter and controller (the initial_state order); e holds the
+    elements are the shaping filters of w and of v (1 for a white source),
+    then plant, feedback filter and controller; x holds their state rows in
+    that order (the initial_state order for the last three), and e holds the
     driven innovations of w and v. Returns step and the five state counts.
 
     With feedthrough gains gp, gh, gk and free responses p0, h0, k0 (the
@@ -185,13 +192,7 @@ def _loop_step(model: LoopModel):
     u = gk*(gh*(p0 + v) + h0 + w) + k0, exact because LoopModel admits only
     loops with gp*gh*gk == 0. P, H and K are then stepped in that order.
     """
-    shape_w, shape_v = (
-        _Df2t(spec.shaping if spec.kind == "colored" else TF_ONE)
-        for spec in (model.channel_noise, model.output_disturbance)
-    )
-    fp, fh, fk = (
-        _Df2t(f) for f in (model.plant, model.feedback_filter, model.controller)
-    )
+    shape_w, shape_v, fp, fh, fk = (_Df2t(f) for f in elements)
     gh, gk = fh.b[0], fk.b[0]
     orders = [f.order for f in (shape_w, shape_v, fp, fh, fk)]
     ends = np.cumsum(orders).tolist()
@@ -210,53 +211,103 @@ def _loop_step(model: LoopModel):
     return step, orders
 
 
-def _lifted_run(step, x0: np.ndarray, sig: np.ndarray) -> None:
+@dataclass(frozen=True, eq=False)
+class _BlockMaps:
+    """One loop recursion's maps over a block of _BLOCK (64) samples, read-only.
+
+    The operand of every map is [block start | w innovations | v innovations].
+    rows holds the responses of w, v, z and u to it, one (64, nx + 128) map
+    each, or None for a source with unit shaping, whose signal is its
+    innovations. states holds the block's final states for the same operand:
+    the carry C in the first nx columns, then the innovation-to-state
+    columns. powers holds C^0, ..., C^S and then a zero block, with S <=
+    _SUPER cut at the last finite power.
+    """
+
+    rows: tuple[np.ndarray | None, ...]
+    states: np.ndarray
+    powers: np.ndarray
+    orders: tuple[int, ...]
+
+
+def _block_maps_for(model: LoopModel) -> _BlockMaps:
+    """The block maps of model's loop recursion, built once per recursion.
+
+    The recursion is fixed by five transfer functions: the shaping filters
+    (1 for a white source), P, H and K. Variances, initial state, seed and
+    length play no part. The key also holds the coefficients' bytes, which
+    tell -0.0 from 0.0, though the transfer functions compare them equal.
+    """
+    elements = tuple(
+        spec.shaping if spec.kind == "colored" else TF_ONE
+        for spec in (model.channel_noise, model.output_disturbance)
+    ) + (model.plant, model.feedback_filter, model.controller)
+    bits = tuple(np.array(p.coeffs).tobytes() for f in elements for p in (f.num, f.den))
+    return _block_maps(elements, bits)
+
+
+@lru_cache(maxsize=_MAPS_KEPT)
+def _block_maps(elements: tuple[TransferFunction, ...], bits) -> _BlockMaps:
+    """Lift the recursion: step it over one block from each unit state (the
+    free responses, whose final states form the carry C) and from a unit
+    innovation of w, then of v, at each sample of the block (the Markov
+    Toeplitz blocks and the innovation-to-state columns). The powers of C are
+    the block recursion stepped from C^j (C^(j+1) = C C^j), never powers of a
+    probed one-sample state map, which lose accuracy on loops with large
+    transient gain; they stop at the last finite power, so a zero state or
+    innovation never meets an infinite power that the block-by-block carry
+    would not form."""
+    step, orders = _loop_step(elements)
+    T, nx = _BLOCK, sum(orders)
+    x = np.zeros((nx, nx + 2 * T))
+    x[:, :nx] = np.eye(nx)
+    resp = np.empty((4, T, nx + 2 * T))
+    with np.errstate(all="ignore"):
+        for t in range(T):
+            e = np.zeros((2, nx + 2 * T))
+            e[0, nx + t] = e[1, nx + T + t] = 1.0
+            for c, s in enumerate(step(x, e)):
+                resp[c, t] = s
+        carry = x[:, :nx]
+        powers = [np.eye(nx), carry]
+        while len(powers) <= _SUPER:
+            nxt = carry @ powers[-1]
+            if not np.isfinite(nxt).all():
+                break
+            powers.append(nxt)
+    powers = np.array(powers + [np.zeros((nx, nx))])
+    rows = tuple(
+        None if c < 2 and elements[c] == TF_ONE else resp[c].copy() for c in range(4)
+    )
+    for a in (x, powers) + rows:
+        if a is not None:
+            a.flags.writeable = False
+    return _BlockMaps(rows, x, powers, tuple(orders))
+
+
+def _lifted_run(maps: _BlockMaps, x0: np.ndarray, sig: np.ndarray) -> None:
     """Run the recursion _BLOCK (64) samples per step, in place on sig.
 
     sig has four rows of whole blocks. On entry its first two rows hold the
     innovations of w and of v, zero-padded; on return its rows hold w, v, z
-    and u. The block maps come from stepping the recursion itself over one
-    block: from each unit state (the free responses, whose final states form
-    the carry C, the state map over one block) and from a unit innovation of
-    w, then of v, at each sample of the block (the Markov Toeplitz blocks and
-    the innovation-to-state columns).
+    and u. A source with unit shaping keeps its innovations as its signal;
+    every other row is one product of the stacked operand [block start | w
+    innovations | v innovations] with its block map (see _BlockMaps).
 
     The carried state advances up to _SUPER (32) blocks per step. Block j of
     such a superblock starts at C^j times the superblock's start plus the
     earlier blocks' innovations carried through C^(j-1), ..., C^0: one
-    product with a block-Toeplitz matrix of those powers. The powers are the
-    block recursion stepped from C^j (C^(j+1) = C C^j), never powers of a
-    probed one-sample A, which lose accuracy on loops with large transient
-    gain. They stop at the last finite power, so a zero state or innovation
-    never meets an infinite power that the block-by-block carry would not
-    form. Each signal is then one product of the stacked operand [block
-    start | w innovations | v innovations] with its block map. Zero padding
-    at the end never reaches an earlier sample, because the recursion is
-    causal.
+    product with a block-Toeplitz matrix of those powers, gathered here from
+    the cached powers. Zero padding at the end never reaches an earlier
+    sample, because the recursion is causal.
     """
     T = _BLOCK
     nx = len(x0)
     blocks = sig.shape[1] // T
-    x = np.zeros((nx, nx + 2 * T))
-    x[:, :nx] = np.eye(nx)
-    resp = np.empty((4, T, nx + 2 * T))
-    for t in range(T):
-        e = np.zeros((2, nx + 2 * T))
-        e[0, nx + t] = e[1, nx + T + t] = 1.0
-        for c, s in enumerate(step(x, e)):
-            resp[c, t] = s
-    carry = x[:, :nx]
-
-    powers = [np.eye(nx), carry]
-    while len(powers) <= _SUPER:
-        nxt = carry @ powers[-1]
-        if not np.isfinite(nxt).all():
-            break
-        powers.append(nxt)
-    S = len(powers) - 1
+    pw = maps.powers
+    S = len(pw) - 2
     # row block i maps [superblock start | state kicks of its S blocks] to
     # the start of its block i; row block S gives the next superblock's start
-    pw = np.array(powers + [np.zeros((nx, nx))])
     i, j = np.ogrid[: S + 1, :S]
     lag = np.where(j < i, i - 1 - j, S + 1)  # the zero block where j >= i
     toeplitz = np.empty(((S + 1) * nx, (S + 1) * nx))
@@ -268,11 +319,11 @@ def _lifted_run(step, x0: np.ndarray, sig: np.ndarray) -> None:
     stacked[:, nx + T :] = sig[1].reshape(blocks, T)
     supers = -(-blocks // S)
     kick = np.zeros((supers * S, nx))
-    np.matmul(stacked[:, nx:], x[:, nx:].T, out=kick[:blocks])
+    np.matmul(stacked[:, nx:], maps.states[:, nx:].T, out=kick[:blocks])
     sb = np.empty((supers, (S + 1) * nx))
     sb[:, nx:] = kick.reshape(supers, S * nx)
     ends = sb[:, nx:] @ toeplitz[S * nx :, nx:].T
-    step_super = powers[S]
+    step_super = pw[S]
     xk = x0
     for m in range(supers):
         sb[m, :nx] = xk
@@ -280,8 +331,9 @@ def _lifted_run(step, x0: np.ndarray, sig: np.ndarray) -> None:
     starts = sb @ toeplitz[: S * nx].T
     stacked[:, :nx] = starts.reshape(supers * S, nx)[:blocks]
 
-    for c in range(4):
-        np.matmul(stacked, resp[c].T, out=sig[c].reshape(blocks, T))
+    for c, row in enumerate(maps.rows):
+        if row is not None:
+            np.matmul(stacked, row.T, out=sig[c].reshape(blocks, T))
 
 
 def simulate_loop(cfg: SimulationConfig) -> TrajectorySet:
@@ -291,13 +343,16 @@ def simulate_loop(cfg: SimulationConfig) -> TrajectorySet:
     because the feedthrough product of P, H and K is zero, and then P, H and
     K are stepped in that order (see _loop_step); noise innovations are drawn
     once up front (w first, then v) from a Philox stream keyed by the seed,
-    so trajectories are bit-reproducible for a given seed. The recursion is
-    advanced 64 samples at a time (see _lifted_run).
+    so trajectories are bit-reproducible for a given seed. A silent source's
+    innovations are +0.0: a silent w is still drawn, since v's draw follows
+    it, and a silent v takes no draw. The recursion is advanced 64 samples
+    at a time (see _lifted_run), through block maps built once per loop
+    recursion and kept for the last _MAPS_KEPT (16) recursions used.
     """
     model = cfg.model
     n = cfg.n_samples
-    step, orders = _loop_step(model)
-    shaping, orders = orders[:2], orders[2:]
+    maps = _block_maps_for(model)
+    shaping, orders = maps.orders[:2], maps.orders[2:]
     total = sum(orders)
     x0 = model.initial_state
     if len(x0) == 0:
@@ -313,13 +368,20 @@ def simulate_loop(cfg: SimulationConfig) -> TrajectorySet:
     blocks = -(-n // _BLOCK)
     sig = np.zeros((4, blocks * _BLOCK))  # the innovations, then the signals
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    for eps, spec in zip(sig, (model.channel_noise, model.output_disturbance)):
-        eps = eps[:n]
-        rng.standard_normal(out=eps)
-        eps *= math.sqrt(spec.variance)
+    w_eps, v_eps = sig[0, :n], sig[1, :n]
+    w_var, v_var = model.channel_noise.variance, model.output_disturbance.variance
+    # a silent source's innovations, and so its signal, are +0.0
+    rng.standard_normal(out=w_eps)  # drawn even when silent: v's draw follows
+    if w_var > 0.0:
+        w_eps *= math.sqrt(w_var)
+    else:
+        w_eps.fill(0.0)
+    if v_var > 0.0:
+        rng.standard_normal(out=v_eps)
+        v_eps *= math.sqrt(v_var)
     limit = DIVERGENCE_LIMIT
     with np.errstate(all="ignore"):
-        _lifted_run(step, x0, sig)
+        _lifted_run(maps, x0, sig)
         w_sig, v_sig, z_out, u_out = sig[:, :n]
         y_out = z_out + w_sig
         # min and max carry NaN, so in-range extremes clear every sample
@@ -327,8 +389,9 @@ def simulate_loop(cfg: SimulationConfig) -> TrajectorySet:
             -limit <= s.min() and s.max() <= limit for s in (w_sig, v_sig, y_out, u_out)
         )
         if not in_range:
-            # w and v hold NaN only after a loop state overflowed (0 * inf in
-            # the carry); that is the loop's divergence, reported below
+            # a shaped w or v holds NaN only after a loop state overflowed
+            # (0 * inf in the carry); that is the loop's divergence, reported
+            # below
             for name, s in (("w", w_sig), ("v", v_sig)):
                 if np.any(np.abs(s) > limit):
                     raise DivergenceError(f"noise signal {name} diverged during shaping")

@@ -245,12 +245,14 @@ class LoopSpectra:
         sw = noise_psd(model.channel_noise, grid)
         sv = noise_psd(model.output_disturbance, grid)
         h2 = squared_gain(model.feedback_filter, grid)
-        return cls(sw, sv, h2, *_closed_loop_gains(cl, grid))
+        return cls.closing(sw, sv, h2, cl)
 
-    def with_closed_loop(self, cl: ClosedLoop) -> "LoopSpectra":
-        """The same sources and H closed by another controller."""
-        gains = _closed_loop_gains(cl, self.grid)
-        return LoopSpectra(self.sw, self.sv, self.h2, *gains)
+    @classmethod
+    def closing(
+        cls, sw: SpectrumSamples, sv: SpectrumSamples, h2: np.ndarray, cl: ClosedLoop
+    ) -> "LoopSpectra":
+        """Source spectra and |H|^2 on one grid, closed by the loop cl."""
+        return cls(sw, sv, h2, *_closed_loop_gains(cl, sw.grid))
 
     @property
     def grid(self) -> FrequencyGrid:

@@ -226,9 +226,11 @@ def test_decompose_peak_allocation_at_65536_points():
 
 
 def test_independence_check_peak_allocation_at_65536_points():
-    """Four controllers. Measured 12.27 arrays (17.26 before)."""
+    """Four controllers. Measured 9.26 arrays: one controller's closed-loop
+    gains are freed before the next one's are formed (12.27 while they were
+    kept, 17.26 before the evaluation worked in place)."""
     model = dynamic_model()
     controllers = [placed(t) for t in TARGETS + ([0.3, -0.1, 0.0],)]
     grid = FrequencyGrid(65536)
     peak = _peak_arrays(lambda: controller_independence_check(model, controllers, grid))
-    assert peak <= 13.0
+    assert peak <= 10.0

@@ -31,7 +31,8 @@ from loopinfo import (
     welch_psd,
     white,
 )
-from loopinfo.lti import TF_ONE, TF_ZERO
+from loopinfo import montecarlo
+from loopinfo.lti import TF_ONE, TF_ZERO, pole_placement_controller
 
 LN2 = math.log(2.0)
 
@@ -417,6 +418,139 @@ def test_trajectories_are_byte_identical_across_blas_thread_counts():
 
 
 # ---------------------------------------------------------------------------
+# the block maps, built once per loop recursion
+
+
+def order8_loop(v=white(0.5)):
+    """A new LoopModel each call: the order-8 loop of _TRAJECTORY_DIGEST, with
+    its colored channel noise, and the output disturbance v."""
+    plant = tf([1.0, 0.5, 0.2], np.poly([1.6, 0.5, -0.4]))
+    h = tf([1.0, 0.5], [1.0, -0.3])
+    k = pole_placement_controller(
+        plant * h * tf([0.0, 1.0]), (0.3, -0.3, 0.2, 0.1, -0.1, 0.4j, -0.4j)
+    )
+    return LoopModel(
+        plant, tf([0.0] + list(k.num.coeffs), k.den.coeffs), h,
+        colored(1.3, tf([1.0, 0.4, -0.3], [1.0, -1.2, 0.72])), v,
+    )
+
+
+def signal_bytes(model, **cfg_kwargs):
+    traj = simulate_loop(SimulationConfig(model, **cfg_kwargs))
+    return [getattr(traj, name).tobytes() for name in "ywvzu"]
+
+
+def builds():
+    return montecarlo._block_maps.cache_info().misses
+
+
+@pytest.mark.parametrize("v", [white(0.5), white(0.0)], ids=["white-v", "silent-v"])
+def test_memo_hit_is_byte_identical_to_a_cold_build(v):
+    run = dict(n_samples=2**14, seed=9)
+    montecarlo._block_maps.cache_clear()
+    cold = signal_bytes(order8_loop(v), **run)
+    hit = signal_bytes(order8_loop(v), **run)  # an equal loop, built apart
+    assert montecarlo._block_maps.cache_info()[:2] == (1, 1)  # hits, misses
+    montecarlo._block_maps.cache_clear()
+    assert hit == cold == signal_bytes(order8_loop(v), **run)
+
+
+def test_memo_is_keyed_by_the_recursion_alone(worked_model):
+    montecarlo._block_maps.cache_clear()
+    simulate_loop(SimulationConfig(worked_model, n_samples=2**13, seed=0))
+    same_recursion = [
+        replace(worked_model, channel_noise=white(2.0)),
+        replace(worked_model, output_disturbance=white(0.0)),
+        replace(worked_model, initial_state=(0.4,)),
+    ]
+    for model in same_recursion:
+        simulate_loop(SimulationConfig(model, n_samples=2**13, seed=0))
+    simulate_loop(SimulationConfig(worked_model, n_samples=2**13, seed=1))
+    simulate_loop(SimulationConfig(worked_model, n_samples=5000, seed=0))
+    assert builds() == 1
+    other_controller = replace(worked_model, controller=tf([-1.9]))
+    simulate_loop(SimulationConfig(other_controller, n_samples=2**13, seed=0))
+    assert builds() == 2
+
+
+def test_memo_arrays_are_read_only(worked_model):
+    model = replace(worked_model, output_disturbance=COLORED_V)
+    maps = montecarlo._block_maps_for(model)
+    arrays = [maps.states, maps.powers] + [r for r in maps.rows if r is not None]
+    assert len(arrays) == 5  # v, z and u rows: the white w needs none
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def test_memo_keeps_the_last_sixteen_loops(worked_model):
+    montecarlo._block_maps.cache_clear()
+    loops = [replace(worked_model, controller=tf([-2.0 + 0.01 * i])) for i in range(17)]
+    for model in loops:
+        simulate_loop(SimulationConfig(model, n_samples=128, burn_in=0))
+    assert montecarlo._block_maps.cache_info().currsize == montecarlo._MAPS_KEPT == 16
+    simulate_loop(SimulationConfig(loops[16], n_samples=128, burn_in=0))
+    assert builds() == 17  # the newest is kept
+    simulate_loop(SimulationConfig(loops[0], n_samples=128, burn_in=0))
+    assert builds() == 18  # the oldest was evicted
+
+
+def test_memo_keys_negative_zero_apart():
+    # transfer functions compare -0.0 and 0.0 equal; the maps are keyed apart
+    plus, minus = (
+        LoopModel(tf([z, 1.0], [1.0, -2.0]), tf([-2.0]), TF_ONE, white(1.0), white(0.5))
+        for z in (0.0, -0.0)
+    )
+    assert plus == minus and math.copysign(1.0, minus.plant.num.coeffs[0]) < 0.0
+    montecarlo._block_maps.cache_clear()
+    for model in (plus, minus):
+        simulate_loop(SimulationConfig(model, n_samples=2**13))
+    assert builds() == 2
+
+
+# ---------------------------------------------------------------------------
+# source rows: innovations that need no product, and draws that are skipped
+
+
+def philox_draws(seed, n, count=2):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return [rng.standard_normal(n) for _ in range(count)]
+
+
+def test_white_source_rows_are_the_scaled_draws(worked_model):
+    model = replace(worked_model, channel_noise=white(1.3), output_disturbance=white(0.7))
+    traj = simulate_loop(SimulationConfig(model, n_samples=4100, burn_in=0, seed=6))
+    ew, ev = philox_draws(6, 4100)
+    assert traj.w.tobytes() == (math.sqrt(1.3) * ew).tobytes()
+    assert traj.v.tobytes() == (math.sqrt(0.7) * ev).tobytes()
+
+
+@pytest.mark.parametrize(
+    "silent", [white(0.0), colored(0.0, COLORED_V.shaping)], ids=["white", "colored"]
+)
+def test_silent_v_takes_no_draw(worked_model, silent):
+    loud, quiet = (
+        simulate_loop(SimulationConfig(model, n_samples=4100, burn_in=0, seed=8))
+        for model in (
+            replace(worked_model, output_disturbance=white(0.5)),
+            replace(worked_model, output_disturbance=silent),
+        )
+    )
+    assert quiet.w.tobytes() == loud.w.tobytes()
+    assert not np.any(np.signbit(quiet.v))  # +0.0 at every sample
+
+
+def test_silent_white_w_still_advances_the_stream(worked_model):
+    loud, quiet = (
+        simulate_loop(SimulationConfig(model, n_samples=4100, burn_in=0, seed=8))
+        for model in (worked_model, replace(worked_model, channel_noise=white(0.0)))
+    )
+    assert quiet.v.tobytes() == loud.v.tobytes() == philox_draws(8, 4100)[1].tobytes()
+    assert not np.any(quiet.w) and not np.any(np.signbit(quiet.w))
+
+
+# ---------------------------------------------------------------------------
 # Welch estimator
 
 
@@ -471,21 +605,24 @@ def test_welch_colored_spectrum_shape():
 
 
 def test_welch_equals_the_explicit_segment_loop():
-    x = np.random.Generator(np.random.Philox(4)).standard_normal(2**17 - 4096)
-    for params in (WelchParams(), WelchParams(256, 0.3), WelchParams(1024, 0.0)):
-        nseg = params.segment_length
-        hop = max(1, int(round(nseg * (1.0 - params.overlap_fraction))))
-        win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nseg) / nseg)
-        acc = np.zeros(nseg // 2 + 1)
-        count = 0
-        for start in range(0, len(x) - nseg + 1, hop):
-            acc += np.abs(np.fft.rfft(x[start : start + nseg] * win)) ** 2
-            count += 1
-        half = acc / (count * np.sum(win**2))
-        got = welch_psd(x, params, FrequencyGrid(nseg))
-        # on a grid of nseg points the bins land on grid points exactly
-        want = np.roll(np.concatenate([half, half[1 : nseg // 2][::-1]]), nseg // 2)
-        assert np.array_equal(got.values, want)
+    # 2^17 - 4096 samples make 247 segments of 1024: seven blocks of 32 and a
+    # partial block of 23; 5000 samples make 8, fewer than one block
+    for n in (2**17 - 4096, 5000):
+        x = np.random.Generator(np.random.Philox(4)).standard_normal(n)
+        for params in (WelchParams(), WelchParams(256, 0.3), WelchParams(1024, 0.0)):
+            nseg = params.segment_length
+            hop = max(1, int(round(nseg * (1.0 - params.overlap_fraction))))
+            win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nseg) / nseg)
+            acc = np.zeros(nseg // 2 + 1)
+            count = 0
+            for start in range(0, len(x) - nseg + 1, hop):
+                acc += np.abs(np.fft.rfft(x[start : start + nseg] * win)) ** 2
+                count += 1
+            half = acc / (count * np.sum(win**2))
+            got = welch_psd(x, params, FrequencyGrid(nseg))
+            # on a grid of nseg points the bins land on grid points exactly
+            want = np.roll(np.concatenate([half, half[1 : nseg // 2][::-1]]), nseg // 2)
+            assert np.array_equal(got.values, want)
 
 
 def test_shaped_noise_one_pole_is_the_explicit_recursion():
