@@ -10,6 +10,7 @@ part that measures how much of the exogenous signal v rides through the
 channel.
 """
 
+import io
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from loopinfo import (
     LoopModel,
     RateInputs,
     decompose,
-    integrands_csv_string,
+    export_integrands,
     tf,
     white,
 )
@@ -48,7 +49,9 @@ for r in (0.0, 0.5, 1.0, 3.0, 10.0):
 # the identity holds at every frequency, not just on average: the exported
 # integrand table has log_Syw = log_Fwy + disturbance_integrand per row
 inputs = RateInputs(model, FrequencyGrid(1024))
-rows = integrands_csv_string(inputs).splitlines()[1:]
+table = io.StringIO()
+export_integrands(inputs, table)
+rows = table.getvalue().splitlines()[1:]
 parts = np.array([[float(x) for x in row.split(",")] for row in rows])
 pointwise = np.max(np.abs(parts[:, 1] - parts[:, 2] - parts[:, 3]))
 print("\nmax pointwise identity gap over 1024 frequencies:", pointwise)

@@ -106,7 +106,7 @@ def cmd_analyze(args) -> int:
     doc = {
         "stability": _report_json(asdict(stab)),
         "units": units,
-        "rate": _report_json(report.as_dict(), factor),
+        "rate": _report_json(asdict(report), factor),
     }
     if args.integrands:
         export_integrands(inputs, args.integrands)
@@ -126,6 +126,8 @@ def _parse_controller(spec_pair):
 
 def cmd_verify(args) -> int:
     if args.random is not None:
+        if args.random < 0:
+            raise ConfigError(f"--random needs a case count >= 0, got {args.random}")
         grid = FrequencyGrid(args.grid) if args.grid is not None else FrequencyGrid()
         cases = run_identity_suite(args.random, seed=args.seed or 0, grid=grid)
         residuals = [abs(c.report.residual) for c in cases]
@@ -159,7 +161,7 @@ def cmd_verify(args) -> int:
         "units": units,
         "residual": _r(report.residual * factor),
         "residual_pass": abs(report.residual) < RESIDUAL_LIMIT,
-        "independence": _report_json(independence.as_dict(), factor),
+        "independence": _report_json(asdict(independence), factor),
         "grid_points": grid.n_points,
     }
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
@@ -176,7 +178,7 @@ def cmd_simulate(args) -> int:
     sim = SimulationConfig(cfg.model, n_samples=cfg.options.n_samples, seed=seed)
     record = compare_report(sim, tolerance=args.tolerance, grid=grid)
 
-    doc = {"units": units, **_report_json(record.as_dict(), factor)}
+    doc = {"units": units, **_report_json(asdict(record), factor)}
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return EXIT_OK if record.passed else EXIT_TOLERANCE
 
@@ -230,8 +232,6 @@ def build_parser() -> _Parser:
                         help="report rates in bits/sample")
     common.add_argument("--output", metavar="PATH",
                         help="write the report here instead of stdout")
-    common.add_argument("--seed", type=int, metavar="S",
-                        help="override the config seed")
 
     parser = _Parser(prog="loopinfo",
                      description="feedback-channel information rate toolkit")
@@ -249,6 +249,8 @@ def build_parser() -> _Parser:
     p.add_argument("config", nargs="?", help="JSON loop description")
     p.add_argument("--random", type=int, metavar="N",
                    help="run the randomized identity suite instead")
+    p.add_argument("--seed", type=int, metavar="S",
+                   help="seed of the randomized identity suite (default 0)")
     p.add_argument("--alt-controller", nargs=2, action="append",
                    metavar=("NUM", "DEN"),
                    help="extra stabilizing controller as two JSON coefficient arrays")
@@ -259,6 +261,8 @@ def build_parser() -> _Parser:
     p.add_argument("config", help="JSON loop description")
     p.add_argument("--tolerance", type=float, default=0.03, metavar="T",
                    help="absolute pass tolerance in nats (default 0.03)")
+    p.add_argument("--seed", type=int, metavar="S",
+                   help="override the config seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", parents=[common],

@@ -17,7 +17,7 @@ rejected, naming the offending path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ConfigError, InvalidInputError
 from .lti import LoopModel, TransferFunction, tf
@@ -205,12 +205,7 @@ def dump_config(model: LoopModel, options: RunOptions = RunOptions()) -> dict:
         "feedback_filter": _tf_dict(model.feedback_filter),
         "channel_noise": _noise_dict(model.channel_noise),
         "output_disturbance": _noise_dict(model.output_disturbance),
-        "options": {
-            "grid_points": options.grid_points,
-            "log_base": options.log_base,
-            "seed": options.seed,
-            "n_samples": options.n_samples,
-        },
+        "options": asdict(options),
     }
 
 

@@ -9,11 +9,9 @@ sum of ln max(1, |pole|) and (1/2) ln(1 + sigma_v^2/sigma_w^2).
 
 from __future__ import annotations
 
-import io
-import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -28,10 +26,10 @@ from .errors import (
 )
 from .lti import (
     TF_ONE,
-    ClosedLoop,
     LoopModel,
     Polynomial,
     TransferFunction,
+    _poly_from_z_roots,
     close_loop,
     is_stabilizing,
     pole_placement_controller,
@@ -54,6 +52,9 @@ from .spectral import (
 # The two algebraically equal disturbance-integrand forms must agree this
 # closely, and the entropy-difference route must match the direct rate.
 CROSS_CHECK_TOL = 1e-10
+# The disturbance terms of one loop under several controllers must agree
+# this closely.
+_INDEPENDENCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,6 @@ class RateInputs:
                 "rate computation needs a stabilized loop",
                 poles=report.offending_poles,
             )
-
-    @property
-    def closed_loop(self) -> ClosedLoop:
-        return close_loop(self.model)
 
 
 @dataclass(frozen=True)
@@ -106,12 +103,6 @@ class DecompositionReport:
                 "total rate fell below the control term: "
                 f"{self.total_rate!r} < {self.control_term!r}"
             )
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.as_dict(), **kwargs)
 
 
 def gaussian_entropy_rate(s: SpectrumSamples) -> float:
@@ -245,7 +236,7 @@ def decompose(inputs: RateInputs) -> DecompositionReport:
     roots (the Bode sum; log-Mahler measures of the disturbance spectra, and
     the two summed for the total); a gap above 1e-10 raises a RuntimeWarning.
     """
-    return _decompose(inputs.model, inputs.closed_loop, inputs.grid)[0]
+    return _decompose(inputs.model, inputs.grid)[0]
 
 
 def _mean(x: np.ndarray) -> float:
@@ -260,21 +251,18 @@ _ControllerFree = tuple[SpectrumSamples, SpectrumSamples, np.ndarray, float, flo
 
 
 def _decompose(
-    model: LoopModel,
-    cl: ClosedLoop,
-    grid: FrequencyGrid,
-    free: _ControllerFree | None = None,
+    model: LoopModel, grid: FrequencyGrid, free: _ControllerFree | None = None
 ) -> _Decomposed:
     """decompose, also returning the spectra it used, on the report's grid,
     and the exact disturbance term. free, the controller-free parts of a
     decomposition of the same sources and H on the same grid under another
     controller, is taken instead of evaluating them again."""
     if free is None:
-        spectra = LoopSpectra.evaluate(model, cl, grid)
+        spectra = LoopSpectra.evaluate(model, grid)
         known = exact_disturbance = None
     else:
         sw, sv, h2, known, exact_disturbance = free
-        spectra = LoopSpectra.closing(sw, sv, h2, cl)
+        spectra = LoopSpectra.closing(sw, sv, h2, close_loop(model))
     means, low = _integrands(spectra, _mean, known)
     if low is not None:
         raise SingularityError(
@@ -325,10 +313,7 @@ class IndependenceReport:
     disturbance_terms: tuple[float, ...]
     max_deviation: float
     passed: bool
-    tolerance: float = 1e-9
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+    tolerance: float = _INDEPENDENCE_TOL
 
 
 def controller_independence_check(
@@ -348,7 +333,7 @@ def controller_independence_check(
     for i, k in enumerate(alt_controllers):
         candidate = replace(model, controller=k)
         try:
-            inputs = RateInputs(candidate, grid)
+            RateInputs(candidate, grid)
         except (UnstableLoopError, DegenerateLoopError) as exc:
             raise UnstableLoopError(
                 f"controller #{i} (num={k.num.coeffs}, den={k.den.coeffs}) "
@@ -358,7 +343,7 @@ def controller_independence_check(
         # the sources and H do not depend on the controller: evaluate them,
         # the simplified disturbance mean and the exact term once; each
         # controller still forms and cross-checks its own F-ratio form
-        report, spectra, exact = _decompose(candidate, inputs.closed_loop, grid, free)
+        report, spectra, exact = _decompose(candidate, grid, free)
         free = (spectra.sw, spectra.sv, spectra.h2, report.disturbance_term, exact)
         del spectra  # its closed-loop gains and S_Y go before the next ones form
         terms.append(report.disturbance_term)
@@ -366,14 +351,14 @@ def controller_independence_check(
     return IndependenceReport(
         disturbance_terms=tuple(terms),
         max_deviation=deviation,
-        passed=deviation < 1e-9,
+        passed=deviation < _INDEPENDENCE_TOL,
     )
 
 
 def export_integrands(inputs: RateInputs, target) -> None:
     """Write per-frequency integrand samples as CSV: columns omega, log_Syw,
     log_Fwy, disturbance_integrand."""
-    spectra = LoopSpectra.evaluate(inputs.model, inputs.closed_loop, inputs.grid)
+    spectra = LoopSpectra.evaluate(inputs.model, inputs.grid)
     (log_ratio, log_fwy, disturbance, _), _ = _integrands(spectra, np.copy)
     columns = (inputs.grid.omegas, log_ratio, log_fwy, disturbance)
     _write_csv(
@@ -381,12 +366,6 @@ def export_integrands(inputs: RateInputs, target) -> None:
         ["omega", "log_Syw", "log_Fwy", "disturbance_integrand"],
         ([f"{x:.12g}" for x in row] for row in zip(*columns)),
     )
-
-
-def integrands_csv_string(inputs: RateInputs) -> str:
-    buf = io.StringIO()
-    export_integrands(inputs, buf)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +384,6 @@ def _random_poles(rng: np.random.Generator, count: int, lo: float, hi: float):
         else:
             poles.append(complex(rng.choice([-1.0, 1.0]) * r))
     return poles
-
-
-def _poly_from_poles(poles) -> list[float]:
-    """Ascending delay-variable coefficients of prod (1 - p*d)."""
-    c = np.array([1.0 + 0j])
-    for p in poles:
-        c = np.convolve(c, np.array([1.0, -p]))
-    return [float(x) for x in c.real]
 
 
 def _random_noise(rng: np.random.Generator, allow_zero: bool) -> NoiseSpec:
@@ -443,7 +414,7 @@ def random_stabilized_loop(rng: np.random.Generator) -> LoopModel:
     num = [0.0, float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]))]
     if n >= 2 and rng.random() < 0.5:
         num.append(float(rng.uniform(-0.8, 0.8)))
-    plant = tf(num, _poly_from_poles(poles))
+    plant = TransferFunction(Polynomial(num), _poly_from_z_roots(poles, 1.0))
 
     if rng.random() < 0.4:
         feedback = tf([1.0])
@@ -498,8 +469,7 @@ def run_identity_suite(
     cases = []
     for _ in range(n_cases):
         model = random_stabilized_loop(rng)
-        inputs = RateInputs(model, grid)
-        report, spectra, _ = _decompose(model, inputs.closed_loop, grid)
+        report, spectra, _ = _decompose(model, grid)
         chain = gaussian_entropy_rate(spectra.sy) - gaussian_entropy_rate(spectra.sw)
         cases.append(
             SuiteCase(

@@ -91,10 +91,12 @@ def poly_roots(p: Polynomial) -> list[complex]:
 
 
 def _poly_from_z_roots(z_roots, constant: float) -> Polynomial:
-    """Rebuild ascending-d coefficients as constant * prod(1 - z_i*d).
+    """Ascending-d coefficients of constant * prod(1 - z_i*d).
 
     Anchoring at the constant term keeps the polynomial's value exact when a
     root is dropped during cancellation — the remaining factors are untouched.
+    Raises ConsistencyError if the roots are not conjugate-closed (an
+    imaginary residue above 1e-9 * max|c|).
     """
     c = np.array([1.0 + 0j])
     for z in z_roots:
@@ -104,8 +106,8 @@ def _poly_from_z_roots(z_roots, constant: float) -> Polynomial:
     scale = float(np.max(np.abs(c))) or 1.0
     if imag_mag > 1e-9 * scale:
         raise ConsistencyError(
-            "pole/zero cancellation left a complex coefficient residue "
-            f"({imag_mag:.3e}); roots were not conjugate-closed"
+            "a product of root factors left a complex coefficient residue "
+            f"({imag_mag:.3e}); the roots were not conjugate-closed"
         )
     return Polynomial(c.real)
 
@@ -176,21 +178,9 @@ class TransferFunction:
     def __mul__(self, other: "TransferFunction") -> "TransferFunction":
         return TransferFunction(self.num * other.num, self.den * other.den)
 
-    def reciprocal(self) -> "TransferFunction":
-        if self.num.is_zero:
-            raise InvalidInputError("cannot invert the zero system")
-        return TransferFunction(self.den, self.num)
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    @property
-    def relative_degree(self) -> int:
-        """Number of pure delays around the map (index of first nonzero num coeff)."""
-        if self.num.is_zero:
-            return 0
-        return next(i for i, c in enumerate(self.num.coeffs) if c != 0.0)
 
     def poles(self) -> list[complex]:
         """z-plane poles, including origin poles from delay excess."""
@@ -464,12 +454,10 @@ def pole_placement_controller(
     if len(targets) != want:
         raise InvalidInputError(f"expected {want} target poles, got {len(targets)}")
 
-    char = np.array([1.0 + 0j])
-    for lam in targets:
-        char = npoly.polymul(char, np.array([1.0, -lam]))
-    if np.max(np.abs(char.imag)) > 1e-9 * max(np.max(np.abs(char)), 1.0):
-        raise InvalidInputError("target poles are not conjugate-closed")
-    char = char.real
+    try:
+        char = _poly_from_z_roots(targets, 1.0).coeffs
+    except ConsistencyError as exc:
+        raise InvalidInputError("target poles are not conjugate-closed") from exc
 
     size = 2 * n
     dp = np.zeros(size)

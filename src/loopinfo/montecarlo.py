@@ -24,10 +24,9 @@ pushed through the same log-integral engine as the analytic path.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,6 +36,7 @@ from .lti import TF_ONE, LoopModel, TransferFunction
 from .spectral import (
     FrequencyGrid,
     SpectrumSamples,
+    _owned,
     _write_csv,
     log_integral,
     sensitivity_ratio,
@@ -90,13 +90,6 @@ class TrajectorySet:
     def __init__(self, y, w, v, z, u, seed, sample_count):
         signals = (np.array(s, dtype=float) for s in (y, w, v, z, u))
         self._adopt(*signals, seed, sample_count)
-
-    @classmethod
-    def _owned(cls, y, w, v, z, u, seed, sample_count) -> "TrajectorySet":
-        """A record taking over five float arrays, which no one else may write."""
-        t = cls.__new__(cls)
-        t._adopt(y, w, v, z, u, seed, sample_count)
-        return t
 
     def _adopt(self, y, w, v, z, u, seed, sample_count) -> None:
         arrays = {"y": y, "w": w, "v": v, "z": z, "u": u}
@@ -410,9 +403,8 @@ def simulate_loop(cfg: SimulationConfig) -> TrajectorySet:
     # read-only, they let no signal be written through them
     sig.flags.writeable = y_out.flags.writeable = False
     k = cfg.burn_in
-    return TrajectorySet._owned(
-        y_out[k:], w_sig[k:], v_sig[k:], z_out[k:], u_out[k:], cfg.seed, n - k
-    )
+    signals = (y_out[k:], w_sig[k:], v_sig[k:], z_out[k:], u_out[k:])
+    return _owned(TrajectorySet, *signals, cfg.seed, n - k)
 
 
 def welch_psd(
@@ -458,7 +450,7 @@ def welch_psd(
     centered = np.roll(full, nseg // 2)
 
     vals = np.interp(grid.omegas, bin_omegas, centered, period=2.0 * np.pi)
-    return SpectrumSamples._owned(grid, vals)
+    return _owned(SpectrumSamples, grid, vals)
 
 
 def empirical_directed_info(
@@ -482,8 +474,8 @@ def _empirical_detail(traj, params, grid) -> tuple[float, int]:
             RuntimeWarning,
             stacklevel=2,
         )
-        sy = SpectrumSamples._owned(sy.grid, np.maximum(sy.values, PSD_FLOOR))
-        sw = SpectrumSamples._owned(sw.grid, np.maximum(sw.values, PSD_FLOOR))
+        sy = _owned(SpectrumSamples, sy.grid, np.maximum(sy.values, PSD_FLOOR))
+        sw = _owned(SpectrumSamples, sw.grid, np.maximum(sw.values, PSD_FLOOR))
     return log_integral(sensitivity_ratio(sy, sw)), floored
 
 
@@ -500,12 +492,6 @@ class ComparisonRecord:
     tolerance: float
     passed: bool
     floored_bins: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.as_dict(), **kwargs)
 
 
 def compare_report(

@@ -9,7 +9,6 @@ process variance, i.e. (1/2pi) * integral of S over [-pi, pi).
 from __future__ import annotations
 
 import csv
-import io
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -29,6 +28,7 @@ from .lti import (
     LoopModel,
     TransferFunction,
     _unit_circle_points,
+    close_loop,
     unit_circle_response,
 )
 
@@ -80,6 +80,15 @@ def _unit_circle(n: int) -> np.ndarray:
     return e
 
 
+def _owned(cls, *fields):
+    """An instance of cls taking over fields whose arrays are new and held by
+    no one else: validated by cls._adopt, as the copying constructor does,
+    and made read-only there, but not copied."""
+    obj = cls.__new__(cls)
+    obj._adopt(*fields)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class SpectrumSamples:
     """Nonnegative, even-symmetric PSD samples on a FrequencyGrid.
@@ -89,8 +98,7 @@ class SpectrumSamples:
     nothing here. The library's own spectra (noise_psd, output_psd,
     LoopSpectra.sy, sensitivity_ratio, welch_psd and its floored copies in
     the empirical rate) are built by _owned from arrays just formed for them
-    and referenced nowhere else: validated the same way and made read-only,
-    but not copied.
+    and referenced nowhere else.
     """
 
     grid: FrequencyGrid
@@ -98,13 +106,6 @@ class SpectrumSamples:
 
     def __init__(self, grid: FrequencyGrid, values):
         self._adopt(grid, np.array(values, dtype=float))
-
-    @classmethod
-    def _owned(cls, grid: FrequencyGrid, values: np.ndarray) -> "SpectrumSamples":
-        """A spectrum taking over values, a new float array no one else holds."""
-        s = cls.__new__(cls)
-        s._adopt(grid, values)
-        return s
 
     def _adopt(self, grid: FrequencyGrid, v: np.ndarray) -> None:
         if v.shape != (grid.n_points,):
@@ -186,7 +187,7 @@ def squared_gain(tf_: TransferFunction, grid: FrequencyGrid) -> np.ndarray:
 def noise_psd(spec: NoiseSpec, grid: FrequencyGrid) -> SpectrumSamples:
     """PSD of the source on the grid: sigma^2, or sigma^2 * |G|^2."""
     if spec.kind == "white":
-        return SpectrumSamples._owned(grid, np.full(grid.n_points, spec.variance))
+        return _owned(SpectrumSamples, grid, np.full(grid.n_points, spec.variance))
     mag = np.abs(unit_circle_response(spec.shaping, grid.unit_circle, grid.omegas))
     if np.any(mag <= 1e-9):
         k = int(np.argmin(mag))
@@ -196,7 +197,7 @@ def noise_psd(spec: NoiseSpec, grid: FrequencyGrid) -> SpectrumSamples:
         )
     np.square(mag, out=mag)
     mag *= spec.variance
-    return SpectrumSamples._owned(grid, mag)
+    return _owned(SpectrumSamples, grid, mag)
 
 
 def output_psd(
@@ -208,7 +209,7 @@ def output_psd(
             f"mismatched grids: {sw.grid.n_points} vs {sv.grid.n_points} points"
         )
     fwy, fvy = _closed_loop_gains(cl, sw.grid)
-    return SpectrumSamples._owned(sw.grid, fwy * sw.values + fvy * sv.values)
+    return _owned(SpectrumSamples, sw.grid, fwy * sw.values + fvy * sv.values)
 
 
 def _closed_loop_gains(cl: ClosedLoop, grid: FrequencyGrid):
@@ -239,13 +240,11 @@ class LoopSpectra:
     fvy2: np.ndarray
 
     @classmethod
-    def evaluate(
-        cls, model: LoopModel, cl: ClosedLoop, grid: FrequencyGrid
-    ) -> "LoopSpectra":
+    def evaluate(cls, model: LoopModel, grid: FrequencyGrid) -> "LoopSpectra":
         sw = noise_psd(model.channel_noise, grid)
         sv = noise_psd(model.output_disturbance, grid)
         h2 = squared_gain(model.feedback_filter, grid)
-        return cls.closing(sw, sv, h2, cl)
+        return cls.closing(sw, sv, h2, close_loop(model))
 
     @classmethod
     def closing(
@@ -262,7 +261,7 @@ class LoopSpectra:
     def sy(self) -> SpectrumSamples:
         """Loop-output PSD: |F_wy|^2 * S_W + |F_vy|^2 * S_V."""
         values = self.fwy2 * self.sw.values + self.fvy2 * self.sv.values
-        return SpectrumSamples._owned(self.grid, values)
+        return _owned(SpectrumSamples, self.grid, values)
 
 
 def sensitivity_ratio(sa: SpectrumSamples, sb: SpectrumSamples) -> SpectrumSamples:
@@ -279,7 +278,7 @@ def sensitivity_ratio(sa: SpectrumSamples, sb: SpectrumSamples) -> SpectrumSampl
             omega=float(sb.grid.omegas[k]),
         )
     ratio = np.divide(sa.values, sb.values)
-    return SpectrumSamples._owned(sa.grid, np.sqrt(ratio, out=ratio))
+    return _owned(SpectrumSamples, sa.grid, np.sqrt(ratio, out=ratio))
 
 
 def log_integral(s: SpectrumSamples) -> float:
@@ -326,9 +325,3 @@ def spectrum_to_csv(s: SpectrumSamples, target) -> None:
     """Write the spectrum as CSV (columns omega, value) to a path or file object."""
     rows = ([f"{w:.12g}", f"{v:.12g}"] for w, v in zip(s.grid.omegas, s.values))
     _write_csv(target, ["omega", "value"], rows)
-
-
-def spectrum_csv_string(s: SpectrumSamples) -> str:
-    buf = io.StringIO()
-    spectrum_to_csv(s, buf)
-    return buf.getvalue()

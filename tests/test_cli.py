@@ -128,6 +128,14 @@ def test_usage_error_exits_1():
     assert run_cli().returncode == 1
 
 
+def test_seed_is_offered_only_where_it_is_read(loop_config):
+    """simulate and verify read --seed; analyze and sweep reject it."""
+    assert run_cli("analyze", "--seed", "1", str(loop_config)).returncode == 1
+    sweep = ("sweep", str(loop_config), "--param", "sigma_v2", "--values", "1")
+    assert run_cli(*sweep, "--seed", "5").returncode == 1
+    assert run_cli(*sweep).returncode == 0
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -165,6 +173,13 @@ def test_verify_random_zero_cases_is_vacuous():
     res = run_cli("verify", "--random", "0")
     assert res.returncode == 0
     assert json.loads(res.stdout)["cases"] == 0
+
+
+def test_verify_random_negative_count_is_a_usage_error():
+    res = run_cli("verify", "--random", "-3")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "--random" in res.stderr
 
 
 def test_verify_needs_config_or_random():

@@ -1,7 +1,9 @@
 """The allocation-lean evaluation path: recorded bits and peak memory.
 
 The hex values below were recorded before unit-circle evaluation, spectrum
-validation and the integrand means were rewritten to work in place. They are
+validation and the integrand means were rewritten to work in place; the
+digests of the random loops and of a pole placement, before the two came to
+share one roots-to-polynomial product with cancellation. They are
 compared bit for bit, on the numpy build and CPU family they were recorded
 on: another build of the elementary functions, of LAPACK or of BLAS may move
 the last digits of every route alike, so there the comparison is skipped
@@ -9,7 +11,9 @@ the last digits of every route alike, so there the comparison is skipped
 """
 
 import hashlib
+import io
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -23,8 +27,9 @@ from loopinfo import (
     compare_report,
     controller_independence_check,
     decompose,
-    integrands_csv_string,
+    export_integrands,
     pole_placement_controller,
+    random_stabilized_loop,
     tf,
     white,
 )
@@ -174,7 +179,7 @@ CSV_SHA256 = {
 @pytest.mark.parametrize("name, n", sorted(DECOMPOSITIONS))
 def test_decompose_reproduces_recorded_bits(name, n):
     report = decompose(RateInputs(MODELS[name](), FrequencyGrid(n)))
-    assert _hex(report.as_dict()) == DECOMPOSITIONS[name, n]
+    assert _hex(asdict(report)) == DECOMPOSITIONS[name, n]
 
 
 @recorded_platform
@@ -182,20 +187,60 @@ def test_decompose_reproduces_recorded_bits(name, n):
 def test_independence_check_reproduces_recorded_bits(n):
     controllers = [placed(t) for t in TARGETS]
     report = controller_independence_check(dynamic_model(), controllers, FrequencyGrid(n))
-    assert _hex(report.as_dict()) == INDEPENDENCE[n]
+    assert _hex(asdict(report)) == INDEPENDENCE[n]
 
 
 @recorded_platform
 def test_compare_report_reproduces_recorded_bits():
     record = compare_report(SimulationConfig(dynamic_model(), n_samples=2**15, seed=3))
-    assert _hex(record.as_dict()) == COMPARISON
+    assert _hex(asdict(record)) == COMPARISON
 
 
 @recorded_platform
 @pytest.mark.parametrize("name", sorted(CSV_SHA256))
 def test_export_integrands_reproduces_recorded_bytes(name):
-    text = integrands_csv_string(RateInputs(MODELS[name](), FrequencyGrid(4096)))
-    assert hashlib.sha256(text.encode()).hexdigest() == CSV_SHA256[name]
+    buf = io.StringIO()
+    export_integrands(RateInputs(MODELS[name](), FrequencyGrid(4096)), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == CSV_SHA256[name]
+
+
+def _coefficient_bytes(f) -> bytes:
+    return b"".join(np.array(p.coeffs).tobytes() + b";" for p in (f.num, f.den))
+
+
+def _coefficient_digest(models) -> str:
+    """sha256 over every coefficient, noise kind and variance of the models."""
+    h = hashlib.sha256()
+    for m in models:
+        sources = (m.channel_noise, m.output_disturbance)
+        factors = [m.plant, m.controller, m.feedback_filter]
+        for f in factors + [s.shaping or TF_ONE for s in sources]:
+            h.update(_coefficient_bytes(f))
+        for s in sources:
+            h.update(s.kind.encode() + np.float64(s.variance).tobytes())
+    return h.hexdigest()
+
+
+RANDOM_LOOPS_SHA256 = "1067149baef1feef6e33109a33b73737b9b3eec2ad1605a67004dc43ae2aeafb"
+# the benchmark's seven-pole placement: path P*H with
+# P = (d + 0.3d^2) / ((1 - 1.6d)(1 - 0.5d)(1 + 0.4d)), H = (1 + 0.5d) / (1 - 0.3d)
+P_DEN = [1.0, -1.7000000000000002, -0.040000000000000036, 0.32000000000000006]
+PLACEMENT_PATH = tf([0.0, 1.0, 0.3], P_DEN) * tf([1.0, 0.5], [1.0, -0.3])
+PLACEMENT_TARGETS = (0.3, -0.3, 0.2, 0.1, -0.1, 0.4j, -0.4j)
+PLACEMENT_SHA256 = "e17539c264087662a65cf50ef730074e2ad0d4b7b8197c7afd1c6f5fc8904c9d"
+
+
+@recorded_platform
+def test_random_stabilized_loops_reproduce_recorded_coefficients():
+    rng = np.random.default_rng(0)
+    models = [random_stabilized_loop(rng) for _ in range(200)]
+    assert _coefficient_digest(models) == RANDOM_LOOPS_SHA256
+
+
+@recorded_platform
+def test_pole_placement_reproduces_recorded_coefficients():
+    k = pole_placement_controller(PLACEMENT_PATH, PLACEMENT_TARGETS)
+    assert hashlib.sha256(_coefficient_bytes(k)).hexdigest() == PLACEMENT_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -692,8 +692,7 @@ def test_compare_report_fields():
     assert rec.abs_gap == abs(rec.analytic_rate - rec.empirical_rate)
     assert rec.rel_gap == pytest.approx(rec.abs_gap / rec.analytic_rate)
     assert rec.passed and rec.floored_bins == 0
-    d = rec.as_dict()
-    assert d["tolerance"] == 0.05 and d["passed"] is True
+    assert rec.tolerance == 0.05 and rec.passed is True
 
 
 def test_compare_report_zero_tolerance_fails():

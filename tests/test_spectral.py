@@ -22,7 +22,7 @@ from loopinfo import (
     noise_psd,
     output_psd,
     sensitivity_ratio,
-    spectrum_csv_string,
+    spectrum_to_csv,
     tf,
     welch_psd,
     white,
@@ -109,7 +109,7 @@ def test_library_built_spectra_are_read_only():
     cl = close_loop(model)
     sw = noise_psd(model.channel_noise, g)
     sv = noise_psd(model.output_disturbance, g)
-    spectra = LoopSpectra.evaluate(model, cl, g)
+    spectra = LoopSpectra.evaluate(model, g)
     built = [
         noise_psd(white(2.0), g), sw, sv, output_psd(cl, sw, sv), spectra.sy,
         sensitivity_ratio(spectra.sy, sw),
@@ -301,8 +301,9 @@ def test_log_integral_grid_refinement_stable(worked_model):
 def test_spectrum_csv_round_trip():
     g = FrequencyGrid(64)
     s = SpectrumSamples(g, 2.0 + np.cos(g.omegas))
-    text = spectrum_csv_string(s)
-    rows = list(csv.reader(io.StringIO(text)))
+    buf = io.StringIO()
+    spectrum_to_csv(s, buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
     assert rows[0] == ["omega", "value"]
     assert len(rows) == 65
     back = np.array([[float(a), float(b)] for a, b in rows[1:]])
