@@ -4,8 +4,12 @@ What the controller can and cannot change
 
 For a fixed plant and noise environment, the disturbance-transmission term
 depends only on the feedback filter and the two noise spectra — swapping in
-a different stabilizing controller leaves it untouched. The control term, by
-contrast, is pinned by the plant's unstable poles alone. Feedback design
+a different stabilizing controller leaves it untouched. The independence
+check measures this: under each controller it forms the term from that
+closed loop's gains, (1/2) log(1 + |F_vy|^2 S_V / (|F_wy|^2 S_W)), and
+compares it with the controller-free (1/2) log(1 + |H|^2 S_V / S_W). The
+terms differ only by rounding. The control term, by contrast, is pinned by
+the plant's unstable poles alone. Feedback design
 therefore moves *neither* piece: the rate through the channel is a property
 of what must be stabilized and what must be transmitted.
 """
@@ -24,9 +28,10 @@ from loopinfo.lti import TF_ONE
 plant = tf([0.0, 1.0], [1.0, -2.0])
 model = LoopModel(plant, tf([-2.0]), TF_ONE, white(1.0), white(1.0))
 
-# three hand-picked static gains plus a dynamic controller from pole placement
+# three hand-picked static gains
 candidates = [tf([-2.0]), tf([-2.5]), tf([-1.5])]
 
+# each term comes from that controller's own closed-loop gains
 report = controller_independence_check(model, candidates)
 print("disturbance terms:", [f"{t:.15f}" for t in report.disturbance_terms])
 print("max deviation    :", report.max_deviation)

@@ -126,6 +126,11 @@ def _parse_controller(spec_pair):
 
 def cmd_verify(args) -> int:
     if args.random is not None:
+        given = {"a config path": args.config is not None,
+                 "--alt-controller": args.alt_controller, "--bits": args.bits}
+        unread = [flag for flag, is_given in given.items() if is_given]
+        if unread:
+            raise ConfigError(f"verify --random does not read {', '.join(unread)}")
         if args.random < 0:
             raise ConfigError(f"--random needs a case count >= 0, got {args.random}")
         grid = FrequencyGrid(args.grid) if args.grid is not None else FrequencyGrid()
@@ -147,6 +152,8 @@ def cmd_verify(args) -> int:
 
     if args.config is None:
         raise ConfigError("verify needs a config path or --random N")
+    if args.seed is not None:
+        raise ConfigError("verify reads --seed only with --random")
     cfg = load_config(args.config)
     factor, units = _units(args, cfg.options)
     grid = _grid(args, cfg.options)
@@ -250,7 +257,7 @@ def build_parser() -> _Parser:
     p.add_argument("--random", type=int, metavar="N",
                    help="run the randomized identity suite instead")
     p.add_argument("--seed", type=int, metavar="S",
-                   help="seed of the randomized identity suite (default 0)")
+                   help="seed of the randomized identity suite (default 0; --random only)")
     p.add_argument("--alt-controller", nargs=2, action="append",
                    metavar=("NUM", "DEN"),
                    help="extra stabilizing controller as two JSON coefficient arrays")

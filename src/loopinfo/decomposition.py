@@ -42,10 +42,14 @@ from .spectral import (
     LoopSpectra,
     NoiseSpec,
     SpectrumSamples,
+    _closed_loop_gains,
+    _divisor,
     _write_csv,
     colored,
     log_integral,
+    noise_psd,
     sensitivity_ratio,
+    squared_gain,
     white,
 )
 
@@ -110,41 +114,65 @@ def gaussian_entropy_rate(s: SpectrumSamples) -> float:
     return 0.5 * math.log(2.0 * math.pi * math.e) + 0.5 * log_integral(s)
 
 
-def _integrands(
-    spectra: LoopSpectra, take, known_disturbance=None
-) -> tuple[tuple, float | None]:
-    """Apply take to each per-frequency integrand of the split, in turn:
-    log sqrt(S_Y/S_W) (the rate), (1/2) log|F_wy|^2 (the control term), the
-    simplified disturbance integrand (1/2) log(1 + |H|^2 S_V/S_W) and its
-    F-ratio form (1/2) log(1 + |F_vy|^2 S_V/(|F_wy|^2 S_W)).
-
-    Returns the four results and the first omega at which the squared
-    sensitivity ratio or |F_wy|^2 lies below NEAR_SINGULAR_FLOOR (None if
-    none). Every integrand is formed in one scratch array that the next one
-    overwrites, so take must not keep its argument. known_disturbance, take's
-    result on the simplified form of the same sources and H, is returned in
-    its place: that form holds no controller.
-    """
+def _integrands(spectra: LoopSpectra, take) -> tuple[tuple, float | None]:
+    """take applied to each integrand in turn, log sqrt(S_Y/S_W), (1/2)
+    log|F_wy|^2, the simplified and the F-ratio disturbance form, each formed
+    in one scratch array that the next overwrites (take must not keep it),
+    and the first omega where ratio^2 or |F_wy|^2 is near-singular, or None."""
     sw, sv, fwy2 = spectra.sw.values, spectra.sv.values, spectra.fwy2
     ratio = sensitivity_ratio(spectra.sy, spectra.sw).values
     scratch = np.square(ratio)
 
-    omegas = spectra.grid.omegas
-    for label, vals in (("sensitivity ratio", scratch), ("|f_wy|^2", fwy2)):
-        nonpos = vals <= 0.0
-        if np.any(nonpos):
-            k = int(np.argmax(nonpos))
-            raise LogDomainError(
-                f"{label} vanishes at omega={omegas[k]!r}",
-                omega=float(omegas[k]),
-                value=float(vals[k]),
-            )
-    low = scratch < NEAR_SINGULAR_FLOOR
-    low |= fwy2 < NEAR_SINGULAR_FLOOR
-    low_omega = float(omegas[np.argmax(low)]) if np.any(low) else None
+    omegas = spectra.sw.grid.omegas
+    low_ratio = _first_low("sensitivity ratio", scratch, omegas)
+    low_fwy = _first_low("|f_wy|^2", fwy2, omegas)
+    low_omega = min((w for w in (low_ratio, low_fwy) if w is not None), default=None)
 
     total = take(np.log(ratio, out=scratch))
-    del ratio  # freed before denom is formed
+    del ratio  # freed before the F-ratio form's denominator is formed
+    np.log(fwy2, out=scratch)
+    scratch *= 0.5
+    control = take(scratch)
+    disturbance = take(_simplified_form(sw, sv, spectra.h2, scratch))
+    disturbance_alt = take(_f_ratio_form(sw, sv, fwy2, spectra.fvy2, omegas, scratch))
+    return (total, control, disturbance, disturbance_alt), low_omega
+
+
+def _first_low(label: str, vals: np.ndarray, omegas: np.ndarray) -> float | None:
+    """The first omega at which vals lies below NEAR_SINGULAR_FLOOR (None if
+    none); raises LogDomainError where vals is not positive."""
+    nonpos = vals <= 0.0
+    if np.any(nonpos):
+        k = int(np.argmax(nonpos))
+        raise LogDomainError(
+            f"{label} vanishes at omega={omegas[k]!r}",
+            omega=float(omegas[k]),
+            value=float(vals[k]),
+        )
+    low = vals < NEAR_SINGULAR_FLOOR
+    return float(omegas[np.argmax(low)]) if np.any(low) else None
+
+
+def _reject_near_singular(omega: float | None) -> None:
+    if omega is not None:
+        raise SingularityError(
+            f"log integrand is near-singular (< {NEAR_SINGULAR_FLOOR:g}) at omega={omega!r}; "
+            "a closed-loop zero is too close to the unit circle",
+            omega=omega,
+        )
+
+
+def _simplified_form(sw, sv, h2, out: np.ndarray) -> np.ndarray:
+    """(1/2) log(1 + |H|^2 S_V/S_W) into out (which may be h2): no controller."""
+    np.multiply(h2, sv, out=out)
+    out /= sw
+    np.log1p(out, out=out)
+    out *= 0.5
+    return out
+
+
+def _f_ratio_form(sw, sv, fwy2, fvy2, omegas, out: np.ndarray) -> np.ndarray:
+    """(1/2) log(1 + |F_vy|^2 S_V/(|F_wy|^2 S_W)) into out, if |F_wy|^2 S_W > 1e-300."""
     denom = np.multiply(fwy2, sw)
     tiny = denom <= 1e-300
     if np.any(tiny):
@@ -153,24 +181,24 @@ def _integrands(
             f"|f_wy|^2 * S_W vanishes at omega={omegas[k]!r}",
             omega=float(omegas[k]),
         )
+    return _simplified_form(denom, sv, fvy2, out)
 
-    def half_log1p(out):
-        np.log1p(out, out=out)
-        out *= 0.5
-        return take(out)
 
-    np.log(fwy2, out=scratch)
-    scratch *= 0.5
-    control = take(scratch)
-    disturbance = known_disturbance
-    if disturbance is None:
-        np.multiply(spectra.h2, sv, out=scratch)
-        scratch /= sw
-        disturbance = half_log1p(scratch)
-    np.multiply(spectra.fvy2, sv, out=scratch)
-    scratch /= denom
-    disturbance_alt = half_log1p(scratch)
-    return (total, control, disturbance, disturbance_alt), low_omega
+def _require_forms_agree(simplified: float, f_ratio: float) -> None:
+    if abs(simplified - f_ratio) > CROSS_CHECK_TOL:
+        raise ConsistencyError(
+            f"the two disturbance-integrand forms disagree: {simplified!r} vs {f_ratio!r}"
+        )
+
+
+def _warn_if_off_exact(gap: float, grid: FrequencyGrid, stacklevel: int) -> None:
+    if not gap <= CROSS_CHECK_TOL:  # a NaN gap warns too
+        warnings.warn(
+            f"quadrature on {grid.n_points} points is {gap:.3g} nats from "
+            "the exact Jensen values; a root lies near the unit circle",
+            RuntimeWarning,
+            stacklevel=stacklevel + 1,
+        )
 
 
 def bode_term_analytic(model: LoopModel) -> float:
@@ -243,56 +271,25 @@ def _mean(x: np.ndarray) -> float:
     return float(np.mean(x))
 
 
-_Decomposed = tuple[DecompositionReport, LoopSpectra, float]
-
-# The parts of a decomposition that hold no controller: S_W, S_V, |H|^2, the
-# simplified disturbance mean and the exact disturbance term.
-_ControllerFree = tuple[SpectrumSamples, SpectrumSamples, np.ndarray, float, float]
-
-
 def _decompose(
-    model: LoopModel, grid: FrequencyGrid, free: _ControllerFree | None = None
-) -> _Decomposed:
-    """decompose, also returning the spectra it used, on the report's grid,
-    and the exact disturbance term. free, the controller-free parts of a
-    decomposition of the same sources and H on the same grid under another
-    controller, is taken instead of evaluating them again."""
-    if free is None:
-        spectra = LoopSpectra.evaluate(model, grid)
-        known = exact_disturbance = None
-    else:
-        sw, sv, h2, known, exact_disturbance = free
-        spectra = LoopSpectra.closing(sw, sv, h2, close_loop(model))
-    means, low = _integrands(spectra, _mean, known)
-    if low is not None:
-        raise SingularityError(
-            f"log integrand is near-singular (< {NEAR_SINGULAR_FLOOR:g}) at omega={low!r}; "
-            "a closed-loop zero is too close to the unit circle",
-            omega=low,
-        )
+    model: LoopModel, grid: FrequencyGrid
+) -> tuple[DecompositionReport, LoopSpectra]:
+    """decompose, also returning the spectra it used, on the report's grid."""
+    spectra = LoopSpectra.evaluate(model, grid)
+    means, low = _integrands(spectra, _mean)
+    _reject_near_singular(low)
 
     total, control, disturbance, disturbance_alt = means
-    if abs(disturbance - disturbance_alt) > CROSS_CHECK_TOL:
-        raise ConsistencyError(
-            "the two disturbance-integrand forms disagree: "
-            f"{disturbance!r} vs {disturbance_alt!r}"
-        )
+    _require_forms_agree(disturbance, disturbance_alt)
 
     bode = bode_term_analytic(model)
-    if exact_disturbance is None:
-        exact_disturbance = _disturbance_term_exact(model)
+    exact_disturbance = _disturbance_term_exact(model)
     estimate = max(
         abs(total - (bode + exact_disturbance)),
         abs(control - bode),
         abs(disturbance - exact_disturbance),
     )
-    if not estimate <= CROSS_CHECK_TOL:  # a NaN gap warns too
-        warnings.warn(
-            f"quadrature on {grid.n_points} points is {estimate:.3g} nats from "
-            "the exact Jensen values; a root lies near the unit circle",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    _warn_if_off_exact(estimate, grid, stacklevel=3)
 
     report = DecompositionReport(
         total_rate=total,
@@ -303,12 +300,12 @@ def _decompose(
         grid_points=grid.n_points,
         convergence_estimate=estimate,
     )
-    return report, spectra, exact_disturbance
+    return report, spectra
 
 
 @dataclass(frozen=True)
 class IndependenceReport:
-    """Disturbance terms of one loop under several stabilizing controllers."""
+    """F-ratio disturbance means of one loop under several stabilizing controllers."""
 
     disturbance_terms: tuple[float, ...]
     max_deviation: float
@@ -323,13 +320,20 @@ def controller_independence_check(
 ) -> IndependenceReport:
     """Recompute the disturbance term with each controller swapped in.
 
-    The simplified integrand contains no controller, so the terms must agree;
-    PASS iff the max pairwise deviation is below 1e-9. A non-stabilizing
-    alternative raises, naming its position in the list.
+    S_W, S_V, |H|^2 and the simplified mean hold no controller: they are
+    formed once, and warn as in decompose. Each controller forms |F_wy|^2 and
+    |F_vy|^2, checked as in decompose, and their F-ratio mean, which must
+    match the simplified mean within 1e-10. PASS iff the F-ratio means agree
+    within 1e-9. A non-stabilizing controller raises, naming its index.
     """
     grid = grid or FrequencyGrid()
+    sw = _divisor(noise_psd(model.channel_noise, grid))
+    sv = noise_psd(model.output_disturbance, grid).values
+    scratch = squared_gain(model.feedback_filter, grid)
+    simplified = _mean(_simplified_form(sw, sv, scratch, scratch))
+    _warn_if_off_exact(abs(simplified - _disturbance_term_exact(model)), grid, stacklevel=2)
+
     terms = []
-    free = None
     for i, k in enumerate(alt_controllers):
         candidate = replace(model, controller=k)
         try:
@@ -340,13 +344,12 @@ def controller_independence_check(
                 "does not stabilize the loop",
                 poles=getattr(exc, "poles", ()),
             ) from exc
-        # the sources and H do not depend on the controller: evaluate them,
-        # the simplified disturbance mean and the exact term once; each
-        # controller still forms and cross-checks its own F-ratio form
-        report, spectra, exact = _decompose(candidate, grid, free)
-        free = (spectra.sw, spectra.sv, spectra.h2, report.disturbance_term, exact)
-        del spectra  # its closed-loop gains and S_Y go before the next ones form
-        terms.append(report.disturbance_term)
+        fwy2, fvy2 = _closed_loop_gains(close_loop(candidate), grid)
+        _reject_near_singular(_first_low("|f_wy|^2", fwy2, grid.omegas))
+        term = _mean(_f_ratio_form(sw, sv, fwy2, fvy2, grid.omegas, scratch))
+        del fwy2, fvy2  # freed before the next controller's are formed
+        _require_forms_agree(simplified, term)
+        terms.append(term)
     deviation = max(terms) - min(terms) if terms else 0.0
     return IndependenceReport(
         disturbance_terms=tuple(terms),
@@ -464,12 +467,14 @@ def run_identity_suite(
 ) -> list[SuiteCase]:
     """Decompose n_cases random stabilized loops, cross-checking on each that
     the rate equals the entropy-rate difference h(Y) - h(W)."""
+    if n_cases < 0:
+        raise InvalidInputError(f"n_cases must be >= 0, got {n_cases!r}")
     grid = grid or FrequencyGrid()
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(n_cases):
         model = random_stabilized_loop(rng)
-        report, spectra, _ = _decompose(model, grid)
+        report, spectra = _decompose(model, grid)
         chain = gaussian_entropy_rate(spectra.sy) - gaussian_entropy_rate(spectra.sw)
         cases.append(
             SuiteCase(

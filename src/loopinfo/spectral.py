@@ -244,24 +244,13 @@ class LoopSpectra:
         sw = noise_psd(model.channel_noise, grid)
         sv = noise_psd(model.output_disturbance, grid)
         h2 = squared_gain(model.feedback_filter, grid)
-        return cls.closing(sw, sv, h2, close_loop(model))
-
-    @classmethod
-    def closing(
-        cls, sw: SpectrumSamples, sv: SpectrumSamples, h2: np.ndarray, cl: ClosedLoop
-    ) -> "LoopSpectra":
-        """Source spectra and |H|^2 on one grid, closed by the loop cl."""
-        return cls(sw, sv, h2, *_closed_loop_gains(cl, sw.grid))
-
-    @property
-    def grid(self) -> FrequencyGrid:
-        return self.sw.grid
+        return cls(sw, sv, h2, *_closed_loop_gains(close_loop(model), grid))
 
     @cached_property
     def sy(self) -> SpectrumSamples:
         """Loop-output PSD: |F_wy|^2 * S_W + |F_vy|^2 * S_V."""
         values = self.fwy2 * self.sw.values + self.fvy2 * self.sv.values
-        return _owned(SpectrumSamples, self.grid, values)
+        return _owned(SpectrumSamples, self.sw.grid, values)
 
 
 def sensitivity_ratio(sa: SpectrumSamples, sb: SpectrumSamples) -> SpectrumSamples:
@@ -270,15 +259,20 @@ def sensitivity_ratio(sa: SpectrumSamples, sb: SpectrumSamples) -> SpectrumSampl
         raise InvalidInputError(
             f"mismatched grids: {sa.grid.n_points} vs {sb.grid.n_points} points"
         )
-    tiny = sb.values <= 1e-300
+    ratio = np.divide(sa.values, _divisor(sb))
+    return _owned(SpectrumSamples, sa.grid, np.sqrt(ratio, out=ratio))
+
+
+def _divisor(s: SpectrumSamples) -> np.ndarray:
+    """s's values, which must stay above 1e-300 to divide by them."""
+    tiny = s.values <= 1e-300
     if np.any(tiny):
         k = int(np.argmax(tiny))
         raise DivisionDomainError(
-            f"denominator spectrum vanishes at omega={sb.grid.omegas[k]!r}",
-            omega=float(sb.grid.omegas[k]),
+            f"denominator spectrum vanishes at omega={s.grid.omegas[k]!r}",
+            omega=float(s.grid.omegas[k]),
         )
-    ratio = np.divide(sa.values, sb.values)
-    return _owned(SpectrumSamples, sa.grid, np.sqrt(ratio, out=ratio))
+    return s.values
 
 
 def log_integral(s: SpectrumSamples) -> float:

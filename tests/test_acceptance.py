@@ -19,7 +19,6 @@ from loopinfo import (
     RateInputs,
     SimulationConfig,
     SpectrumSamples,
-    compare_report,
     controller_independence_check,
     decompose,
     is_stabilizing,

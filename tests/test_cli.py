@@ -182,6 +182,29 @@ def test_verify_random_negative_count_is_a_usage_error():
     assert "--random" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (("CONFIG",), "config path"),
+        (("--alt-controller", "[-2.5]", "[1.0]"), "--alt-controller"),
+        (("--bits",), "--bits"),
+    ],
+)
+def test_verify_random_rejects_flags_it_does_not_read(loop_config, extra, flag):
+    args = [str(loop_config) if a == "CONFIG" else a for a in extra]
+    res = run_cli("verify", "--random", "3", *args)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert flag in res.stderr
+
+
+def test_verify_config_rejects_seed(loop_config):
+    res = run_cli("verify", str(loop_config), "--seed", "3")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "--seed" in res.stderr
+
+
 def test_verify_needs_config_or_random():
     res = run_cli("verify")
     assert res.returncode == 1

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from loopinfo import ConfigError, colored, parse_config, tf
+from loopinfo import ConfigError, parse_config
 from loopinfo.config import RunOptions, dump_config, load_config, write_config
 
 

@@ -13,6 +13,7 @@ import pytest
 from loopinfo import (
     ConsistencyError,
     DecompositionReport,
+    DivisionDomainError,
     FrequencyGrid,
     InvalidInputError,
     LoopModel,
@@ -227,6 +228,28 @@ def test_decompose_total_equals_direct_route_exactly(worked_model, kind):
     h2 = spectral.squared_gain(model.feedback_filter, grid)
     disturbance = 0.5 * np.log1p(h2 * sv.values / sw.values)
     assert rep.disturbance_term == float(np.mean(disturbance))
+
+
+def test_independence_terms_equal_direct_f_ratio_means_exactly():
+    """Each reported term is the plain grid mean of the F-ratio form on that
+    controller's closed-loop gains, bit for bit."""
+    model = colored_dynamic_h_model()
+    controllers = [
+        placed_controller(targets)
+        for targets in ([0.1, 0.2, -0.3], [0.0, 0.4, 0.5], [-0.2, 0.3j, -0.3j])
+    ]
+    grid = FrequencyGrid(4096)  # where the F-ratio means differ in the last bit
+    report = controller_independence_check(model, controllers, grid)
+    sw = noise_psd(model.channel_noise, grid).values
+    sv = noise_psd(model.output_disturbance, grid).values
+    direct = []
+    for k in controllers:
+        cl = close_loop(replace(model, controller=k))
+        fwy2 = spectral.squared_gain(cl.f_wy, grid)
+        fvy2 = spectral.squared_gain(cl.f_vy, grid)
+        direct.append(float(np.mean(0.5 * np.log1p(fvy2 * sv / (fwy2 * sw)))))
+    assert report.disturbance_terms == tuple(direct)
+    assert report.max_deviation == max(direct) - min(direct)
 
 
 def _count_evaluations(monkeypatch):
@@ -543,6 +566,23 @@ def test_independence_with_colored_disturbance(worked_model):
     assert report.passed
 
 
+def test_independence_check_warns_once_off_the_exact_value(worked_model):
+    """The simplified mean holds no controller, so its gap to the exact
+    Jensen value is taken, and warned about, once per check."""
+    m = replace(worked_model, output_disturbance=colored(1.0, tf([1.0], [1.0, -0.9999])))
+    with pytest.warns(RuntimeWarning, match="4096 points") as caught:
+        controller_independence_check(m, [tf([-2.0]), tf([-2.5]), tf([-1.5])])
+    assert len(caught) == 1
+    assert caught[0].filename == __file__
+
+
+def test_independence_check_rejects_a_silent_channel(worked_model):
+    with pytest.raises(DivisionDomainError):
+        controller_independence_check(
+            replace(worked_model, channel_noise=white(0.0)), [tf([-2.0])]
+        )
+
+
 def test_independence_rejects_non_stabilizing_alternative(worked_model):
     with pytest.raises(UnstableLoopError) as err:
         controller_independence_check(worked_model, [tf([-2.0]), tf([0.1])])
@@ -607,6 +647,12 @@ def test_identity_suite_invariants():
         if full != plant_only:
             saw_unstable_controller = True
     assert saw_unstable_controller
+
+
+def test_identity_suite_rejects_a_negative_count():
+    with pytest.raises(InvalidInputError, match="-3"):
+        run_identity_suite(-3)
+    assert run_identity_suite(0) == []
 
 
 def test_identity_suite_is_seeded():

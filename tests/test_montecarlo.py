@@ -13,7 +13,6 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from loopinfo import (
-    ComparisonRecord,
     DivergenceError,
     FrequencyGrid,
     InvalidInputError,
