@@ -8,6 +8,8 @@ decomposition analytically, checks the identities, and validates the values
 against time-domain Monte Carlo simulation.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -82,64 +84,8 @@ from .config import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClosedLoop",
-    "ComparisonRecord",
-    "ConfigError",
-    "ConsistencyError",
-    "DecompositionReport",
-    "DegenerateLoopError",
-    "DivergenceError",
-    "DivisionDomainError",
-    "FrequencyGrid",
-    "IndependenceReport",
-    "InvalidInputError",
-    "LogDomainError",
-    "LoopConfig",
-    "LoopInfoError",
-    "LoopModel",
-    "NoiseSpec",
-    "Polynomial",
-    "RateInputs",
-    "RunOptions",
-    "SimulationConfig",
-    "SingularityError",
-    "SpectrumSamples",
-    "StabilityReport",
-    "SuiteCase",
-    "TF_ONE",
-    "TF_ZERO",
-    "TrajectorySet",
-    "TransferFunction",
-    "UnstableLoopError",
-    "WelchParams",
-    "bode_term_analytic",
-    "close_loop",
-    "colored",
-    "compare_report",
-    "controller_independence_check",
-    "decompose",
-    "dump_config",
-    "empirical_directed_info",
-    "export_integrands",
-    "freq_response_array",
-    "gaussian_entropy_rate",
-    "is_stabilizing",
-    "load_config",
-    "log_integral",
-    "noise_psd",
-    "output_psd",
-    "parse_config",
-    "pole_placement_controller",
-    "poly_roots",
-    "random_stabilized_loop",
-    "run_identity_suite",
-    "sensitivity_ratio",
-    "simulate_loop",
-    "spectrum_to_csv",
-    "tf",
-    "welch_psd",
-    "white",
-    "white_noise_disturbance_term",
-    "write_config",
-]
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

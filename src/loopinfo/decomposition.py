@@ -20,9 +20,9 @@ from .errors import (
     ConsistencyError,
     DegenerateLoopError,
     InvalidInputError,
-    LogDomainError,
     SingularityError,
     UnstableLoopError,
+    _raise_at_sample,
 )
 from .lti import (
     TF_ONE,
@@ -44,6 +44,7 @@ from .spectral import (
     SpectrumSamples,
     _closed_loop_gains,
     _divisor,
+    _first_low,
     _write_csv,
     colored,
     log_integral,
@@ -114,11 +115,11 @@ def gaussian_entropy_rate(s: SpectrumSamples) -> float:
     return 0.5 * math.log(2.0 * math.pi * math.e) + 0.5 * log_integral(s)
 
 
-def _integrands(spectra: LoopSpectra, take) -> tuple[tuple, float | None]:
+def _integrands(spectra: LoopSpectra, take) -> tuple[tuple, int | None]:
     """take applied to each integrand in turn, log sqrt(S_Y/S_W), (1/2)
     log|F_wy|^2, the simplified and the F-ratio disturbance form, each formed
     in one scratch array that the next overwrites (take must not keep it),
-    and the first omega where ratio^2 or |F_wy|^2 is near-singular, or None."""
+    and the first index where ratio^2 or |F_wy|^2 is near-singular, or None."""
     sw, sv, fwy2 = spectra.sw.values, spectra.sv.values, spectra.fwy2
     ratio = sensitivity_ratio(spectra.sy, spectra.sw).values
     scratch = np.square(ratio)
@@ -126,7 +127,7 @@ def _integrands(spectra: LoopSpectra, take) -> tuple[tuple, float | None]:
     omegas = spectra.sw.grid.omegas
     low_ratio = _first_low("sensitivity ratio", scratch, omegas)
     low_fwy = _first_low("|f_wy|^2", fwy2, omegas)
-    low_omega = min((w for w in (low_ratio, low_fwy) if w is not None), default=None)
+    low = min((k for k in (low_ratio, low_fwy) if k is not None), default=None)
 
     total = take(np.log(ratio, out=scratch))
     del ratio  # freed before the F-ratio form's denominator is formed
@@ -135,31 +136,16 @@ def _integrands(spectra: LoopSpectra, take) -> tuple[tuple, float | None]:
     control = take(scratch)
     disturbance = take(_simplified_form(sw, sv, spectra.h2, scratch))
     disturbance_alt = take(_f_ratio_form(sw, sv, fwy2, spectra.fvy2, omegas, scratch))
-    return (total, control, disturbance, disturbance_alt), low_omega
+    return (total, control, disturbance, disturbance_alt), low
 
 
-def _first_low(label: str, vals: np.ndarray, omegas: np.ndarray) -> float | None:
-    """The first omega at which vals lies below NEAR_SINGULAR_FLOOR (None if
-    none); raises LogDomainError where vals is not positive."""
-    nonpos = vals <= 0.0
-    if np.any(nonpos):
-        k = int(np.argmax(nonpos))
-        raise LogDomainError(
-            f"{label} vanishes at omega={omegas[k]!r}",
-            omega=float(omegas[k]),
-            value=float(vals[k]),
+def _reject_near_singular(index: int | None, omegas: np.ndarray) -> None:
+    if index is not None:
+        what = (
+            f"log integrand is near-singular (< {NEAR_SINGULAR_FLOOR:g}): "
+            "a closed-loop zero is too close to the unit circle"
         )
-    low = vals < NEAR_SINGULAR_FLOOR
-    return float(omegas[np.argmax(low)]) if np.any(low) else None
-
-
-def _reject_near_singular(omega: float | None) -> None:
-    if omega is not None:
-        raise SingularityError(
-            f"log integrand is near-singular (< {NEAR_SINGULAR_FLOOR:g}) at omega={omega!r}; "
-            "a closed-loop zero is too close to the unit circle",
-            omega=omega,
-        )
+        _raise_at_sample(SingularityError, what, omegas, index)
 
 
 def _simplified_form(sw, sv, h2, out: np.ndarray) -> np.ndarray:
@@ -174,13 +160,7 @@ def _simplified_form(sw, sv, h2, out: np.ndarray) -> np.ndarray:
 def _f_ratio_form(sw, sv, fwy2, fvy2, omegas, out: np.ndarray) -> np.ndarray:
     """(1/2) log(1 + |F_vy|^2 S_V/(|F_wy|^2 S_W)) into out, if |F_wy|^2 S_W > 1e-300."""
     denom = np.multiply(fwy2, sw)
-    tiny = denom <= 1e-300
-    if np.any(tiny):
-        k = int(np.argmax(tiny))
-        raise SingularityError(
-            f"|f_wy|^2 * S_W vanishes at omega={omegas[k]!r}",
-            omega=float(omegas[k]),
-        )
+    _raise_at_sample(SingularityError, "|f_wy|^2 * S_W vanishes", omegas, denom <= 1e-300)
     return _simplified_form(denom, sv, fvy2, out)
 
 
@@ -277,7 +257,7 @@ def _decompose(
     """decompose, also returning the spectra it used, on the report's grid."""
     spectra = LoopSpectra.evaluate(model, grid)
     means, low = _integrands(spectra, _mean)
-    _reject_near_singular(low)
+    _reject_near_singular(low, grid.omegas)
 
     total, control, disturbance, disturbance_alt = means
     _require_forms_agree(disturbance, disturbance_alt)
@@ -345,7 +325,7 @@ def controller_independence_check(
                 poles=getattr(exc, "poles", ()),
             ) from exc
         fwy2, fvy2 = _closed_loop_gains(close_loop(candidate), grid)
-        _reject_near_singular(_first_low("|f_wy|^2", fwy2, grid.omegas))
+        _reject_near_singular(_first_low("|f_wy|^2", fwy2, grid.omegas), grid.omegas)
         term = _mean(_f_ratio_form(sw, sv, fwy2, fvy2, grid.omegas, scratch))
         del fwy2, fvy2  # freed before the next controller's are formed
         _require_forms_agree(simplified, term)

@@ -2,7 +2,8 @@
 
 Every failure mode the library reports deliberately maps onto one of these,
 so callers (and the CLI exit-code contract) can branch on class rather than
-on message text.
+on message text. A failure at one frequency-grid sample is located, worded
+and raised in one place, _raise_at_sample.
 """
 
 
@@ -14,12 +15,18 @@ class InvalidInputError(LoopInfoError, ValueError):
     """Malformed or out-of-contract input (bad coefficients, mismatched grids, ...)."""
 
 
-class SingularityError(LoopInfoError):
-    """A transfer function or shaping filter is singular on the unit circle."""
+class _SampleError(LoopInfoError):
+    """A failure at one grid sample. Carries its frequency as .omega and,
+    where the failure has one, the sample's value as .value (else None)."""
 
-    def __init__(self, message, omega=None):
+    def __init__(self, message, omega=None, value=None):
         super().__init__(message)
         self.omega = omega
+        self.value = value
+
+
+class SingularityError(_SampleError):
+    """A map or log integrand is (near-)singular on the unit circle. Carries the frequency."""
 
 
 class DegenerateLoopError(LoopInfoError):
@@ -50,21 +57,12 @@ class DivergenceError(LoopInfoError):
         self.value = value
 
 
-class LogDomainError(LoopInfoError):
+class LogDomainError(_SampleError):
     """A log integrand sample was nonpositive. Carries the frequency and value."""
 
-    def __init__(self, message, omega=None, value=None):
-        super().__init__(message)
-        self.omega = omega
-        self.value = value
 
-
-class DivisionDomainError(LoopInfoError):
+class DivisionDomainError(_SampleError):
     """A spectral ratio denominator vanished. Carries the frequency."""
-
-    def __init__(self, message, omega=None):
-        super().__init__(message)
-        self.omega = omega
 
 
 class ConsistencyError(LoopInfoError):
@@ -77,3 +75,20 @@ class ConfigError(InvalidInputError):
     def __init__(self, message, field=None):
         super().__init__(message)
         self.field = field
+
+
+def _raise_at_sample(error, what, omegas, at, values=None):
+    """Raise error at sample at, a flat index into omegas (and values) or the
+    first sample a boolean array flags; return if it flags none.
+    The message reads "<what> [<value>] at omega=<omega>", both Python floats,
+    which the error carries as .omega and .value (None without values)."""
+    if not isinstance(at, int):
+        if not at.any():
+            return
+        at = int(at.argmax())
+    omega = float(omegas.flat[at])
+    value = None if values is None else float(values.flat[at])
+    shown = "" if value is None else f" {value!r}"
+    err = error(f"{what}{shown} at omega={omega!r}")
+    err.omega, err.value = omega, value
+    raise err

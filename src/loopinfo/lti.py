@@ -22,6 +22,7 @@ from .errors import (
     DegenerateLoopError,
     InvalidInputError,
     SingularityError,
+    _raise_at_sample,
 )
 
 if TYPE_CHECKING:
@@ -265,11 +266,7 @@ def unit_circle_response(
     """
     den = _horner(points, tf_.den.coeffs)
     bad = np.abs(den) < 1e-12
-    if np.any(bad):
-        w = float(np.asarray(omegas).flat[np.argmax(bad)])
-        raise SingularityError(
-            f"denominator vanishes on the unit circle at omega={w!r}", omega=w
-        )
+    _raise_at_sample(SingularityError, "denominator vanishes on the unit circle", omegas, bad)
     del bad
     num = _horner(points, tf_.num.coeffs)
     if isinstance(num, np.ndarray):
@@ -380,6 +377,8 @@ class StabilityReport:
     hidden by pole/zero cancellation between the P, K, H factors still show
     up. unstable_cancellations lists unstable factor poles that a factor zero
     cancels within CANCEL_TOL; any such loop is rejected as unstabilizable.
+    offending_poles lists the unstable closed-loop poles, then each unstable
+    cancellation not within CANCEL_TOL of one of them.
     """
 
     is_stabilizing: bool
@@ -418,11 +417,11 @@ def _check_stability(model: LoopModel) -> StabilityReport:
             if any(abs(p - z) < CANCEL_TOL for z in product_zeros):
                 cancelled.append(p)
 
-    ok = not unstable and not cancelled
+    hidden = [p for p in cancelled if all(abs(p - q) >= CANCEL_TOL for q in unstable)]
     return StabilityReport(
-        is_stabilizing=ok,
+        is_stabilizing=not unstable and not cancelled,
         closed_loop_poles=poles,
-        offending_poles=tuple(unstable) + tuple(cancelled),
+        offending_poles=unstable + tuple(hidden),
         unstable_cancellations=tuple(cancelled),
     )
 

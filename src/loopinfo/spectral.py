@@ -1,9 +1,10 @@
 """Power spectral densities and log-spectral integrals on a uniform grid.
 
 Spectra are sampled arrays over [-pi, pi), not symbolic objects, so the
-analytic path and the Welch-estimated path share one integral engine. The
-normalization convention throughout: the grid mean of a PSD equals the
-process variance, i.e. (1/2pi) * integral of S over [-pi, pi).
+analytic path and the Welch-estimated path share one integral engine and
+one log-domain rule, _first_low: a nonpositive log integrand sample raises
+LogDomainError, one below NEAR_SINGULAR_FLOOR is near-singular. The grid
+mean of a PSD equals the process variance, (1/2pi) * integral over [-pi, pi).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import (
     LogDomainError,
     SingularityError,
     UnstableLoopError,
+    _raise_at_sample,
 )
 from .lti import (
     STABILITY_MARGIN,
@@ -116,9 +118,7 @@ class SpectrumSamples:
             raise InvalidInputError("spectrum contains non-finite values")
         if np.any(v < 0.0):
             k = int(np.argmin(v))
-            raise InvalidInputError(
-                f"negative PSD value {v[k]!r} at omega={grid.omegas[k]!r}"
-            )
+            _raise_at_sample(InvalidInputError, "negative PSD value", grid.omegas, k, v)
         # v[k] must match its mirror v[n - k] within 1e-300 + 1e-9 * v[n - k];
         # sample 0 is its own mirror. Two scratch arrays hold the gaps and the
         # tolerances, rounded exactly as in abs(tail - mirror) > 1e-300 + 1e-9
@@ -189,12 +189,9 @@ def noise_psd(spec: NoiseSpec, grid: FrequencyGrid) -> SpectrumSamples:
     if spec.kind == "white":
         return _owned(SpectrumSamples, grid, np.full(grid.n_points, spec.variance))
     mag = np.abs(unit_circle_response(spec.shaping, grid.unit_circle, grid.omegas))
-    if np.any(mag <= 1e-9):
-        k = int(np.argmin(mag))
-        raise SingularityError(
-            f"shaping filter vanishes on the unit circle near omega={grid.omegas[k]!r}",
-            omega=float(grid.omegas[k]),
-        )
+    if np.any(mag <= 1e-9):  # named at the sample nearest the zero
+        what = "shaping filter vanishes on the unit circle"
+        _raise_at_sample(SingularityError, what, grid.omegas, int(np.argmin(mag)))
     np.square(mag, out=mag)
     mag *= spec.variance
     return _owned(SpectrumSamples, grid, mag)
@@ -266,12 +263,7 @@ def sensitivity_ratio(sa: SpectrumSamples, sb: SpectrumSamples) -> SpectrumSampl
 def _divisor(s: SpectrumSamples) -> np.ndarray:
     """s's values, which must stay above 1e-300 to divide by them."""
     tiny = s.values <= 1e-300
-    if np.any(tiny):
-        k = int(np.argmax(tiny))
-        raise DivisionDomainError(
-            f"denominator spectrum vanishes at omega={s.grid.omegas[k]!r}",
-            omega=float(s.grid.omegas[k]),
-        )
+    _raise_at_sample(DivisionDomainError, "denominator spectrum vanishes", s.grid.omegas, tiny)
     return s.values
 
 
@@ -280,25 +272,26 @@ def log_integral(s: SpectrumSamples) -> float:
 
     Uniform-grid trapezoid rule, which by periodicity reduces to the plain
     mean of the log samples and converges spectrally for integrands analytic
-    near the unit circle.
+    near the unit circle. A nonpositive sample raises LogDomainError, and a
+    near-singular one warns (see _first_low).
     """
-    v = s.values
-    bad = v <= 0.0
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise LogDomainError(
-            f"nonpositive integrand {v[k]!r} at omega={s.grid.omegas[k]!r}",
-            omega=float(s.grid.omegas[k]),
-            value=float(v[k]),
-        )
-    if np.any(v < NEAR_SINGULAR_FLOOR):
+    if _first_low("log integrand", s.values, s.grid.omegas) is not None:
         warnings.warn(
             "log integrand has near-singular samples (< 1e-12); "
             "the fixed grid cannot certify accuracy",
             RuntimeWarning,
             stacklevel=2,
         )
-    return float(np.mean(np.log(v)))
+    return float(np.mean(np.log(s.values)))
+
+
+def _first_low(label: str, vals: np.ndarray, omegas: np.ndarray) -> int | None:
+    """The log-domain rule: the index of the first sample of vals below
+    NEAR_SINGULAR_FLOOR (None if none); raises LogDomainError at the first
+    sample that is not positive."""
+    _raise_at_sample(LogDomainError, f"nonpositive {label}", omegas, vals <= 0.0, vals)
+    low = vals < NEAR_SINGULAR_FLOOR
+    return int(np.argmax(low)) if np.any(low) else None
 
 
 def _write_csv(target, header, rows) -> None:

@@ -103,6 +103,20 @@ def test_analyze_bad_config_exits_1(tmp_path):
     assert "config.plant.num[1]" in res.stderr
 
 
+def test_analyze_vanishing_shaping_filter_names_a_float_omega(tmp_path):
+    cfg = tmp_path / "vanishing.json"
+    cfg.write_text(json.dumps({
+        "plant": {"num": [0.0, 1.0], "den": [1.0, -2.0]},
+        "controller": {"num": [-2.0]},
+        "output_disturbance": {"kind": "colored", "variance": 1.0,
+                               "shaping": {"num": [1.0, 1.0]}},
+    }))
+    res = run_cli("analyze", str(cfg))
+    assert res.returncode == 1
+    assert "omega=-3.141592653589793" in res.stderr
+    assert "np." not in res.stderr
+
+
 def test_analyze_missing_file_exits_1(tmp_path):
     res = run_cli("analyze", str(tmp_path / "absent.json"))
     assert res.returncode == 1

@@ -9,7 +9,9 @@ from hypothesis import given, strategies as st
 from loopinfo import (
     InvalidInputError,
     LoopModel,
+    RateInputs,
     SingularityError,
+    UnstableLoopError,
     close_loop,
     freq_response_array,
     is_stabilizing,
@@ -259,6 +261,20 @@ def test_is_stabilizing_catches_hidden_cancellation():
     rep = is_stabilizing(LoopModel(plant, ctrl, TF_ONE, white(1.0), white(1.0)))
     assert not rep.is_stabilizing
     assert any(abs(p - 2.0) < 1e-6 for p in rep.unstable_cancellations)
+
+
+def test_cancelled_pole_that_stays_a_closed_loop_pole_is_listed_once():
+    # K = -0.5 + d = -0.5 (1 - 2d) cancels P's pole at z = 2, which also
+    # remains a root of the return difference 1 - 1.5d - d^2
+    m = LoopModel(
+        tf([0.0, 1.0], [1.0, -2.0]), tf([-0.5, 1.0]), TF_ONE, white(1.0), white(1.0)
+    )
+    rep = is_stabilizing(m)
+    assert rep.unstable_cancellations == (2 + 0j,)
+    assert rep.offending_poles == (2 + 0j,)
+    with pytest.raises(UnstableLoopError) as err:
+        RateInputs(m)
+    assert str(err.value).endswith("(offending poles: 2+0j)")
 
 
 def test_is_stabilizing_accepts_worked_example(worked_model):
