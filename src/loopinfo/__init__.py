@@ -67,7 +67,6 @@ from .montecarlo import (
     ComparisonRecord,
     SimulationConfig,
     TrajectorySet,
-    WelchParams,
     compare_report,
     empirical_directed_info,
     simulate_loop,

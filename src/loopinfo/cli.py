@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import asdict, replace
 
-from .config import RunOptions, load_config
+from .config import RunOptions, _transfer, load_config
 from .decomposition import (
     RateInputs,
     controller_independence_check,
@@ -29,7 +29,7 @@ from .errors import (
     LoopInfoError,
     UnstableLoopError,
 )
-from .lti import is_stabilizing, tf
+from .lti import is_stabilizing
 from .montecarlo import SimulationConfig, compare_report
 from .spectral import FrequencyGrid
 
@@ -117,11 +117,10 @@ def cmd_analyze(args) -> int:
 def _parse_controller(spec_pair):
     num_text, den_text = spec_pair
     try:
-        num = json.loads(num_text)
-        den = json.loads(den_text)
-        return tf([float(x) for x in num], [float(x) for x in den])
-    except (ValueError, TypeError) as exc:
+        node = {"num": json.loads(num_text), "den": json.loads(den_text)}
+    except ValueError as exc:
         raise ConfigError(f"bad --alt-controller coefficients: {exc}") from exc
+    return _transfer(node, "--alt-controller")
 
 
 def cmd_verify(args) -> int:
@@ -196,14 +195,15 @@ def _parse_values(text: str):
         return []
     try:
         parsed = json.loads(text)
-        if isinstance(parsed, list):
-            return [float(x) for x in parsed]
-        return [float(parsed)]
-    except (ValueError, TypeError):
-        pass
+    except ValueError:
+        parsed = [tok for tok in text.split(",") if tok.strip()]
+    items = parsed if isinstance(parsed, list) else [parsed]
+    bools = [x for x in items if isinstance(x, bool)]
+    if bools:
+        raise ConfigError(f"bad --values list: not a number: {json.dumps(bools[0])}")
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
+        return [float(x) for x in items]
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad --values list: {exc}") from exc
 
 

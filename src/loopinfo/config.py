@@ -20,7 +20,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from .errors import ConfigError, InvalidInputError
-from .lti import LoopModel, TransferFunction, tf
+from .lti import TF_ONE, LoopModel, TransferFunction, tf
 from .spectral import NoiseSpec
 
 _TOP_KEYS = {
@@ -97,7 +97,7 @@ def _noise(node, path) -> NoiseSpec:
     if isinstance(variance, bool) or not isinstance(variance, (int, float)):
         raise ConfigError(f"{path}.variance: not a number: {variance!r}",
                           field=f"{path}.variance")
-    shaping = None
+    shaping = TF_ONE
     if kind == "colored":
         if "shaping" not in node:
             raise ConfigError(f"{path}.shaping: required for colored noise",
@@ -107,7 +107,7 @@ def _noise(node, path) -> NoiseSpec:
         raise ConfigError(f"{path}.shaping: not allowed for white noise",
                           field=f"{path}.shaping")
     try:
-        return NoiseSpec(kind, float(variance), shaping)
+        return NoiseSpec(float(variance), shaping)
     except InvalidInputError as exc:
         raise ConfigError(f"{path}: {exc}", field=path) from exc
 
@@ -155,12 +155,12 @@ def parse_config(data) -> LoopConfig:
     channel = (
         _noise(data["channel_noise"], "config.channel_noise")
         if "channel_noise" in data
-        else NoiseSpec("white", 1.0)
+        else NoiseSpec(1.0)
     )
     disturbance = (
         _noise(data["output_disturbance"], "config.output_disturbance")
         if "output_disturbance" in data
-        else NoiseSpec("white", 1.0)
+        else NoiseSpec(1.0)
     )
     options = _options(data.get("options", {}), "config.options")
 
@@ -191,10 +191,9 @@ def _tf_dict(t: TransferFunction) -> dict:
 
 
 def _noise_dict(spec: NoiseSpec) -> dict:
-    out = {"kind": spec.kind, "variance": spec.variance}
-    if spec.shaping is not None:
-        out["shaping"] = _tf_dict(spec.shaping)
-    return out
+    if spec.shaping == TF_ONE:
+        return {"kind": "white", "variance": spec.variance}
+    return {"kind": "colored", "variance": spec.variance, "shaping": _tf_dict(spec.shaping)}
 
 
 def dump_config(model: LoopModel, options: RunOptions = RunOptions()) -> dict:

@@ -25,7 +25,6 @@ from .errors import (
     _raise_at_sample,
 )
 from .lti import (
-    TF_ONE,
     LoopModel,
     Polynomial,
     TransferFunction,
@@ -216,7 +215,7 @@ def _disturbance_term_exact(model: LoopModel) -> float:
     w, v, h = model.channel_noise, model.output_disturbance, model.feedback_filter
     if v.variance == 0.0:
         return 0.0  # both measures are m(sigma_w^2 B B*)
-    gw, gv = w.shaping or TF_ONE, v.shaping or TF_ONE
+    gw, gv = w.shaping, v.shaping
     a = np.convolve(np.convolve(h.num.coeffs, gv.num.coeffs), gw.den.coeffs)
     b = np.convolve(np.convolve(h.den.coeffs, gv.den.coeffs), gw.num.coeffs)
     # equal lengths make a a* and b b* share their centre
@@ -432,6 +431,12 @@ def random_stabilized_loop(rng: np.random.Generator) -> LoopModel:
             return model
 
 
+def _check_seed(seed: int) -> None:
+    """Seeds of the random suite and of the simulation lie in [0, 2^64)."""
+    if not (0 <= seed < 2**64):
+        raise InvalidInputError(f"seed must fit in 64 bits, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SuiteCase:
     """One randomized-suite evaluation: the loop, its decomposition, and the
@@ -449,6 +454,7 @@ def run_identity_suite(
     the rate equals the entropy-rate difference h(Y) - h(W)."""
     if n_cases < 0:
         raise InvalidInputError(f"n_cases must be >= 0, got {n_cases!r}")
+    _check_seed(seed)
     grid = grid or FrequencyGrid()
     rng = np.random.default_rng(seed)
     cases = []

@@ -28,10 +28,14 @@ from .errors import (
 if TYPE_CHECKING:
     from .spectral import NoiseSpec
 
-# Stability margin: a pole counts as stable only if |z| < 1 - STABILITY_MARGIN.
-STABILITY_MARGIN = 1e-9
+STABILITY_MARGIN = 1e-9  # a pole is stable only if |p| < 1 - STABILITY_MARGIN
 # Two roots within this z-plane distance are treated as a pole/zero cancellation.
 CANCEL_TOL = 1e-9
+
+
+def _unstable(p: complex) -> bool:
+    """Every stability check's rule: p is unstable unless |p| < 1 - STABILITY_MARGIN."""
+    return not abs(p) < 1.0 - STABILITY_MARGIN
 
 
 def _strip_trailing_zeros(coeffs: Sequence[float]) -> tuple[float, ...]:
@@ -327,22 +331,27 @@ class LoopModel:
 
 @dataclass(frozen=True)
 class ClosedLoop:
-    """Closed-loop maps of a LoopModel.
+    """Closed-loop maps of a LoopModel; its poles and stability follow from f_wy.
 
     f_wy: channel noise w -> loop output y, equal to 1/(1 - L).
     f_vy: output disturbance v -> loop output y, equal to H/(1 - L).
-    closed_loop_poles are the poles of f_wy, origin poles from delay excess
-    included.
     """
 
     f_wy: TransferFunction
     f_vy: TransferFunction
-    closed_loop_poles: tuple[complex, ...]
-    is_stable: bool
+
+    @property
+    def closed_loop_poles(self) -> tuple[complex, ...]:
+        """The poles of f_wy, origin poles from delay excess included."""
+        return tuple(self.f_wy.poles())
+
+    @property
+    def is_stable(self) -> bool:
+        return not any(map(_unstable, self.closed_loop_poles))
 
 
 def close_loop(model: LoopModel) -> ClosedLoop:
-    """The closed-loop transfer functions and pole set, formed once per model."""
+    """The closed-loop transfer functions, formed once per model."""
     return model._closed_loop
 
 
@@ -359,14 +368,7 @@ def _form_closed_loop(model: LoopModel) -> ClosedLoop:
     # With H = 1 that numerator is den_L and f_vy is f_wy.
     num_vy = model.feedback_filter.num * model.plant.den * model.controller.den
     f_vy = f_wy if num_vy == den_l else TransferFunction(num_vy, char_raw)
-    poles = tuple(f_wy.poles())
-    stable = all(abs(p) < 1.0 - STABILITY_MARGIN for p in poles)
-    return ClosedLoop(
-        f_wy=f_wy,
-        f_vy=f_vy,
-        closed_loop_poles=poles,
-        is_stable=stable,
-    )
+    return ClosedLoop(f_wy, f_vy)
 
 
 @dataclass(frozen=True)
@@ -402,7 +404,7 @@ def _check_stability(model: LoopModel) -> StabilityReport:
     loop_order = max(num_l.degree if not num_l.is_zero else 0, den_l.degree)
     origin = loop_order - char_raw.degree
     poles = tuple(poly_roots(char_raw)) + (0j,) * origin
-    unstable = tuple(p for p in poles if abs(p) >= 1.0 - STABILITY_MARGIN)
+    unstable = tuple(filter(_unstable, poles))
 
     factors = (model.plant, model.controller, model.feedback_filter)
     product_zeros: list[complex] = []
@@ -411,9 +413,7 @@ def _check_stability(model: LoopModel) -> StabilityReport:
             product_zeros.extend(poly_roots(f.num))
     cancelled: list[complex] = []
     for f in factors:
-        for p in f.poles():
-            if abs(p) < 1.0 - STABILITY_MARGIN:
-                continue
+        for p in filter(_unstable, f.poles()):
             if any(abs(p - z) < CANCEL_TOL for z in product_zeros):
                 cancelled.append(p)
 

@@ -41,7 +41,7 @@ from .spectral import (
     log_integral,
     sensitivity_ratio,
 )
-from .decomposition import RateInputs, decompose
+from .decomposition import RateInputs, _check_seed, decompose
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -49,6 +49,7 @@ PSD_FLOOR = 1e-12
 
 _BLOCK = 64  # samples advanced per step of the lifted recursion
 _SUPER = 32  # blocks the carried state advances per step, at most
+_SEGMENT = 1024  # Welch segment length; each segment overlaps the last by half
 _WELCH_BLOCK = 2**15  # samples of windowed segments transformed at once
 _MAPS_KEPT = 16  # loop recursions whose block maps are kept, the last used
 
@@ -65,13 +66,13 @@ class SimulationConfig:
             raise InvalidInputError(
                 f"need n_samples > burn_in >= 0, got {self.n_samples}, {self.burn_in}"
             )
-        if not (0 <= self.seed < 2**64):
-            raise InvalidInputError(f"seed must fit in 64 bits, got {self.seed!r}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True, eq=False)
 class TrajectorySet:
-    """Post-burn-in signal records. y = z + w holds exactly at every sample.
+    """Post-burn-in signal records: five 1-d signals of one length,
+    sample_count. y = z + w holds exactly at every sample.
 
     The signals are read-only. The constructor copies the arrays a caller
     passes, so changing them later changes nothing here; simulate_loop hands
@@ -85,18 +86,17 @@ class TrajectorySet:
     z: np.ndarray
     u: np.ndarray
     seed: int
-    sample_count: int
 
-    def __init__(self, y, w, v, z, u, seed, sample_count):
+    def __init__(self, y, w, v, z, u, seed):
         signals = (np.array(s, dtype=float) for s in (y, w, v, z, u))
-        self._adopt(*signals, seed, sample_count)
+        self._adopt(*signals, seed)
 
-    def _adopt(self, y, w, v, z, u, seed, sample_count) -> None:
+    def _adopt(self, y, w, v, z, u, seed) -> None:
         arrays = {"y": y, "w": w, "v": v, "z": z, "u": u}
         for name, arr in arrays.items():
-            if arr.shape != (sample_count,):
+            if arr.ndim != 1 or len(arr) != len(y):
                 raise InvalidInputError(
-                    f"signal {name} has length {arr.shape}, expected {sample_count}"
+                    f"signal {name} has shape {arr.shape}; each must be 1-d, as long as y"
                 )
             if not np.all(np.isfinite(arr)):
                 raise InvalidInputError(f"signal {name} contains non-finite samples")
@@ -106,7 +106,10 @@ class TrajectorySet:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "seed", int(seed))
-        object.__setattr__(self, "sample_count", int(sample_count))
+
+    @property
+    def sample_count(self) -> int:
+        return len(self.y)
 
     def to_csv(self, target) -> None:
         signals = (self.w, self.v, self.z, self.y, self.u)
@@ -114,23 +117,6 @@ class TrajectorySet:
             [t] + [f"{s[t]:.12g}" for s in signals] for t in range(self.sample_count)
         )
         _write_csv(target, ["t", "w", "v", "z", "y", "u"], rows)
-
-
-@dataclass(frozen=True)
-class WelchParams:
-    """Welch settings; every segment is tapered by the periodic Hann window."""
-
-    segment_length: int = 1024
-    overlap_fraction: float = 0.5
-
-    def __post_init__(self):
-        n = self.segment_length
-        if n < 2 or (n & (n - 1)) != 0:
-            raise InvalidInputError(f"segment length must be a power of two, got {n}")
-        if not (0.0 <= self.overlap_fraction < 1.0):
-            raise InvalidInputError(
-                f"overlap fraction must lie in [0, 1), got {self.overlap_fraction!r}"
-            )
 
 
 class _Df2t:
@@ -231,10 +217,8 @@ def _block_maps_for(model: LoopModel) -> _BlockMaps:
     length play no part. The key also holds the coefficients' bytes, which
     tell -0.0 from 0.0, though the transfer functions compare them equal.
     """
-    elements = tuple(
-        spec.shaping if spec.kind == "colored" else TF_ONE
-        for spec in (model.channel_noise, model.output_disturbance)
-    ) + (model.plant, model.feedback_filter, model.controller)
+    w, v = model.channel_noise, model.output_disturbance
+    elements = (w.shaping, v.shaping, model.plant, model.feedback_filter, model.controller)
     bits = tuple(np.array(p.coeffs).tobytes() for f in elements for p in (f.num, f.den))
     return _block_maps(elements, bits)
 
@@ -404,13 +388,12 @@ def simulate_loop(cfg: SimulationConfig) -> TrajectorySet:
     sig.flags.writeable = y_out.flags.writeable = False
     k = cfg.burn_in
     signals = (y_out[k:], w_sig[k:], v_sig[k:], z_out[k:], u_out[k:])
-    return _owned(TrajectorySet, *signals, cfg.seed, n - k)
+    return _owned(TrajectorySet, *signals, cfg.seed)
 
 
-def welch_psd(
-    x, params: WelchParams = WelchParams(), grid: FrequencyGrid | None = None
-) -> SpectrumSamples:
-    """Averaged windowed-periodogram PSD estimate mapped onto the grid.
+def welch_psd(x, grid: FrequencyGrid | None = None) -> SpectrumSamples:
+    """Averaged windowed-periodogram PSD estimate mapped onto the grid: the
+    periodic Hann window on _SEGMENT (1024) samples, overlapping by half.
 
     Normalized so the grid mean of the estimate equals the sample variance
     for white input. Even symmetry is exact by construction (half-spectrum
@@ -418,7 +401,7 @@ def welch_psd(
     """
     grid = grid or FrequencyGrid()
     x = np.asarray(x, dtype=float)
-    nseg = params.segment_length
+    nseg = _SEGMENT
     if x.ndim != 1 or len(x) < nseg:
         raise InvalidInputError(
             f"need a 1-d sequence of at least {nseg} samples, got shape {x.shape}"
@@ -426,14 +409,13 @@ def welch_psd(
     # periodic Hann, the right variant for overlapped averaging
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nseg) / nseg)
     scale = np.sum(win**2)
-    hop = max(1, int(round(nseg * (1.0 - params.overlap_fraction))))
 
-    segs = np.lib.stride_tricks.sliding_window_view(x, nseg)[::hop]
+    segs = np.lib.stride_tricks.sliding_window_view(x, nseg)[:: nseg // 2]
     # The periodograms are formed a block of segments at a time, which keeps
     # the temporaries small. Each block's first row takes the running sum,
     # and an axis-0 sum adds the rows one by one, so every periodogram is
     # added in segment order.
-    rows = max(1, _WELCH_BLOCK // nseg)
+    rows = _WELCH_BLOCK // nseg
     half = np.zeros(nseg // 2 + 1)
     for lo in range(0, len(segs), rows):
         power = np.abs(np.fft.rfft(segs[lo : lo + rows] * win, axis=-1))
@@ -442,31 +424,24 @@ def welch_psd(
         np.sum(power, axis=0, out=half)
     half /= len(segs) * scale
 
-    full = np.empty(nseg)
-    full[: nseg // 2 + 1] = half
-    full[nseg // 2 + 1 :] = half[1 : nseg // 2][::-1]
-    # bins at 2*pi*k/nseg for k = 0..nseg-1; re-center on [-pi, pi)
-    bin_omegas = -np.pi + 2.0 * np.pi * np.arange(nseg) / nseg
-    centered = np.roll(full, nseg // 2)
-
+    # the bins re-centred on [-pi, pi); negative frequencies mirror positive ones
+    centered = np.concatenate([half[:0:-1], half[:-1]])
+    bin_omegas = FrequencyGrid(nseg).omegas
     vals = np.interp(grid.omegas, bin_omegas, centered, period=2.0 * np.pi)
     return _owned(SpectrumSamples, grid, vals)
 
 
 def empirical_directed_info(
-    traj: TrajectorySet,
-    params: WelchParams = WelchParams(),
-    grid: FrequencyGrid | None = None,
+    traj: TrajectorySet, grid: FrequencyGrid | None = None
 ) -> float:
     """Plug-in rate estimate: the analytic integral evaluated on Welch spectra."""
-    value, _ = _empirical_detail(traj, params, grid)
+    value, _ = _empirical_detail(traj, grid or FrequencyGrid())
     return value
 
 
-def _empirical_detail(traj, params, grid) -> tuple[float, int]:
-    grid = grid or FrequencyGrid()
-    sy = welch_psd(traj.y, params, grid)
-    sw = welch_psd(traj.w, params, grid)
+def _empirical_detail(traj, grid) -> tuple[float, int]:
+    sy = welch_psd(traj.y, grid)
+    sw = welch_psd(traj.w, grid)
     floored = int(np.sum(sy.values < PSD_FLOOR) + np.sum(sw.values < PSD_FLOOR))
     if floored:
         warnings.warn(
@@ -495,10 +470,7 @@ class ComparisonRecord:
 
 
 def compare_report(
-    cfg: SimulationConfig,
-    params: WelchParams = WelchParams(),
-    tolerance: float = 0.03,
-    grid: FrequencyGrid | None = None,
+    cfg: SimulationConfig, tolerance: float = 0.03, grid: FrequencyGrid | None = None
 ) -> ComparisonRecord:
     """Simulate, estimate the rate, and compare with the analytic value.
 
@@ -509,7 +481,7 @@ def compare_report(
         raise InvalidInputError(f"tolerance must be >= 0, got {tolerance!r}")
     grid = grid or FrequencyGrid()
     traj = simulate_loop(cfg)
-    empirical, floored = _empirical_detail(traj, params, grid)
+    empirical, floored = _empirical_detail(traj, grid)
     analytic = decompose(RateInputs(cfg.model, grid)).total_rate
     gap = abs(analytic - empirical)
     return ComparisonRecord(

@@ -25,11 +25,12 @@ from .errors import (
     _raise_at_sample,
 )
 from .lti import (
-    STABILITY_MARGIN,
+    TF_ONE,
     ClosedLoop,
     LoopModel,
     TransferFunction,
     _unit_circle_points,
+    _unstable,
     close_loop,
     unit_circle_response,
 )
@@ -137,41 +138,33 @@ class SpectrumSamples:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Stationary Gaussian source model: flat PSD, or white noise through a
-    stable shaping filter.
-
-    variance is the white PSD level, or the driving variance ahead of the
-    shaping filter. Zero variance is allowed (a silent source); operations
-    that need a strictly positive spectrum reject it at call time.
+    """Stationary Gaussian source: white noise of the given variance through
+    a stable shaping filter, TF_ONE for a white source. Zero variance is
+    allowed (a silent source); operations that need a strictly positive
+    spectrum reject it at call time.
     """
 
-    kind: str
     variance: float
-    shaping: TransferFunction | None = None
+    shaping: TransferFunction = TF_ONE
 
     def __post_init__(self):
-        if self.kind not in ("white", "colored"):
-            raise InvalidInputError(f"noise kind must be white|colored, got {self.kind!r}")
         if not np.isfinite(self.variance) or self.variance < 0.0:
             raise InvalidInputError(f"noise variance must be >= 0, got {self.variance!r}")
-        if self.kind == "colored":
-            if self.shaping is None:
-                raise InvalidInputError("colored noise needs a shaping filter")
-            unstable = [p for p in self.shaping.poles() if abs(p) >= 1.0 - STABILITY_MARGIN]
-            if unstable:
-                raise InvalidInputError(
-                    f"shaping filter has poles on/outside the unit circle: {unstable}"
-                )
-        elif self.shaping is not None:
-            raise InvalidInputError("white noise takes no shaping filter")
+        if not isinstance(self.shaping, TransferFunction):
+            raise InvalidInputError(f"shaping is not a TransferFunction: {self.shaping!r}")
+        unstable = list(filter(_unstable, self.shaping.poles()))
+        if unstable:
+            raise InvalidInputError(
+                f"shaping filter has poles on/outside the unit circle: {unstable}"
+            )
 
 
 def white(variance: float) -> NoiseSpec:
-    return NoiseSpec("white", variance)
+    return NoiseSpec(variance)
 
 
 def colored(variance: float, shaping: TransferFunction) -> NoiseSpec:
-    return NoiseSpec("colored", variance, shaping)
+    return NoiseSpec(variance, shaping)
 
 
 def squared_gain(tf_: TransferFunction, grid: FrequencyGrid) -> np.ndarray:
@@ -186,7 +179,7 @@ def squared_gain(tf_: TransferFunction, grid: FrequencyGrid) -> np.ndarray:
 
 def noise_psd(spec: NoiseSpec, grid: FrequencyGrid) -> SpectrumSamples:
     """PSD of the source on the grid: sigma^2, or sigma^2 * |G|^2."""
-    if spec.kind == "white":
+    if spec.shaping == TF_ONE:
         return _owned(SpectrumSamples, grid, np.full(grid.n_points, spec.variance))
     mag = np.abs(unit_circle_response(spec.shaping, grid.unit_circle, grid.omegas))
     if np.any(mag <= 1e-9):  # named at the sample nearest the zero
@@ -214,7 +207,7 @@ def _closed_loop_gains(cl: ClosedLoop, grid: FrequencyGrid):
     if not cl.is_stable:
         raise UnstableLoopError(
             "output PSD is defined only for a stable loop",
-            poles=[p for p in cl.closed_loop_poles if abs(p) >= 1.0 - STABILITY_MARGIN],
+            poles=list(filter(_unstable, cl.closed_loop_poles)),
         )
     fwy = squared_gain(cl.f_wy, grid)
     fvy = fwy if cl.f_vy == cl.f_wy else squared_gain(cl.f_vy, grid)

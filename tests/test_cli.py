@@ -224,6 +224,29 @@ def test_verify_needs_config_or_random():
     assert res.returncode == 1
 
 
+def test_verify_random_negative_seed_is_a_usage_error():
+    res = run_cli("verify", "--random", "2", "--seed", "-1")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error:") and "-1" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "num, den, bad",
+    [("[true]", "[1]", "num[0]: not a number: True"),
+     ("[-2.5]", "[1, false]", "den[1]: not a number: False"),
+     ("[]", "[1]", "num: expected a non-empty coefficient array")],
+)
+def test_verify_alt_controller_coefficients_are_checked_as_in_a_config(
+    loop_config, num, den, bad
+):
+    res = run_cli("verify", str(loop_config), "--alt-controller", num, den)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert f"--alt-controller.{bad}" in res.stderr
+
+
 def test_verify_non_stabilizing_alternative_exits_2(loop_config):
     res = run_cli("verify", str(loop_config), "--alt-controller", "[0.1]", "[1.0]")
     assert res.returncode == 2
@@ -356,6 +379,14 @@ def test_sweep_empty_values_header_only(loop_config):
     res = run_cli("sweep", str(loop_config), "--param", "sigma_v2", "--values", "")
     assert res.returncode == 0
     assert res.stdout.strip() == "value,total,control,disturbance"
+
+
+@pytest.mark.parametrize("values", ["true", "[1.0, false]"])
+def test_sweep_rejects_boolean_values(loop_config, values):
+    res = run_cli("sweep", str(loop_config), "--param", "sigma_v2", "--values", values)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "not a number: " + ("true" if values == "true" else "false") in res.stderr
 
 
 def test_sweep_unknown_param_rejected(loop_config):

@@ -1,11 +1,13 @@
 """Config schema: parsing, validation messages, and round-tripping."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from loopinfo import ConfigError, parse_config
+from loopinfo import ConfigError, colored, parse_config, white
 from loopinfo.config import RunOptions, dump_config, load_config, write_config
+from loopinfo.lti import TF_ONE
 
 
 def minimal():
@@ -21,7 +23,7 @@ def test_parse_minimal_defaults():
     assert m.plant.num.coeffs == (0.0, 1.0)
     assert m.controller.den.coeffs == (1.0,)
     assert m.feedback_filter.num.coeffs == (1.0,)
-    assert m.channel_noise.kind == "white" and m.channel_noise.variance == 1.0
+    assert m.channel_noise == white(1.0)
     assert cfg.options == RunOptions()
 
 
@@ -119,6 +121,16 @@ def test_dump_config_matches_schema():
     }
     # dumped output must itself parse
     assert parse_config(d).model == model
+
+
+def test_colored_source_with_unit_shaping_round_trips_as_white():
+    """kind is worked out from the shaping: a unit-shaped source is written
+    as white and parses back to an equal model."""
+    base = parse_config(minimal()).model
+    model = replace(base, output_disturbance=colored(0.5, TF_ONE))
+    d = dump_config(model)
+    assert d["output_disturbance"] == {"kind": "white", "variance": 0.5}
+    assert parse_config(json.dumps(d)).model == model
 
 
 def test_load_config_missing_file(tmp_path):

@@ -655,6 +655,12 @@ def test_identity_suite_rejects_a_negative_count():
     assert run_identity_suite(0) == []
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_identity_suite_rejects_a_seed_outside_64_bits(seed):
+    with pytest.raises(InvalidInputError, match="seed"):
+        run_identity_suite(2, seed=seed)
+
+
 def test_identity_suite_is_seeded():
     a = run_identity_suite(3, seed=9)
     b = run_identity_suite(3, seed=9)

@@ -216,10 +216,11 @@ def _coefficient_digest(models) -> str:
     for m in models:
         sources = (m.channel_noise, m.output_disturbance)
         factors = [m.plant, m.controller, m.feedback_filter]
-        for f in factors + [s.shaping or TF_ONE for s in sources]:
+        for f in factors + [s.shaping for s in sources]:
             h.update(_coefficient_bytes(f))
         for s in sources:
-            h.update(s.kind.encode() + np.float64(s.variance).tobytes())
+            kind = "white" if s.shaping == TF_ONE else "colored"
+            h.update(kind.encode() + np.float64(s.variance).tobytes())
     return h.hexdigest()
 
 

@@ -20,7 +20,6 @@ from loopinfo import (
     RateInputs,
     SimulationConfig,
     TrajectorySet,
-    WelchParams,
     compare_report,
     colored,
     decompose,
@@ -104,19 +103,22 @@ def test_trajectory_set_validation():
     z = np.zeros(n)
     w = np.ones(n)
     with pytest.raises(InvalidInputError):
-        TrajectorySet(y=z, w=w, v=z, z=z, u=z, seed=0, sample_count=n)  # y != z + w
+        TrajectorySet(y=z, w=w, v=z, z=z, u=z, seed=0)  # y != z + w
     with pytest.raises(InvalidInputError):
-        TrajectorySet(y=w, w=w, v=z, z=np.zeros(n - 1), u=z, seed=0, sample_count=n)
+        TrajectorySet(y=w, w=w, v=z, z=np.zeros(n - 1), u=z, seed=0)
     bad = np.full(n, np.nan)
     with pytest.raises(InvalidInputError):
-        TrajectorySet(y=w, w=w, v=bad, z=z, u=z, seed=0, sample_count=n)
+        TrajectorySet(y=w, w=w, v=bad, z=z, u=z, seed=0)
+    row, flat = w.reshape(1, n), z.reshape(1, n)  # equal lengths, but 2-d
+    with pytest.raises(InvalidInputError, match="1-d"):
+        TrajectorySet(y=row, w=row, v=flat, z=flat, u=flat, seed=0)
 
 
 def test_trajectory_set_copies_what_a_caller_passes():
     n = 8
     w, z = np.arange(n, dtype=float), np.full(n, 0.5)
     y, v, u = z + w, np.ones(n), -np.ones(n)
-    traj = TrajectorySet(y=y, w=w, v=v, z=z, u=u, seed=0, sample_count=n)
+    traj = TrajectorySet(y=y, w=w, v=v, z=z, u=u, seed=0)
     for arr in (y, w, v, z, u):
         arr[:] = 9.0
     assert np.array_equal(traj.w, np.arange(n, dtype=float))
@@ -211,7 +213,7 @@ def per_sample_oracle(cfg):
     noise = []
     for spec in (model.channel_noise, model.output_disturbance):
         driven = math.sqrt(spec.variance) * rng.standard_normal(n)
-        if spec.kind == "colored":
+        if spec.shaping != TF_ONE:
             step = _ScalarDf2t(spec.shaping).step
             driven = np.array([step(x) for x in driven.tolist()])
         noise.append(driven)
@@ -553,17 +555,10 @@ def test_silent_white_w_still_advances_the_stream(worked_model):
 # Welch estimator
 
 
-def test_welch_params_validation():
-    with pytest.raises(InvalidInputError):
-        WelchParams(segment_length=1000)
-    with pytest.raises(InvalidInputError):
-        WelchParams(overlap_fraction=1.0)
-
-
 def test_welch_white_noise_is_flat():
     rng = np.random.Generator(np.random.Philox(0))
     x = rng.standard_normal(2**16)
-    s = welch_psd(x, WelchParams(), FrequencyGrid(4096))
+    s = welch_psd(x, FrequencyGrid(4096))
     assert float(np.mean(np.abs(s.values - 1.0))) < 0.09
     assert float(np.mean(s.values)) == pytest.approx(1.0, abs=0.02)
 
@@ -571,7 +566,7 @@ def test_welch_white_noise_is_flat():
 def test_welch_integrated_power_matches_sample_variance():
     rng = np.random.Generator(np.random.Philox(2))
     x = rng.standard_normal(2**15) * 1.7
-    s = welch_psd(x, WelchParams(), FrequencyGrid(4096))
+    s = welch_psd(x, FrequencyGrid(4096))
     assert float(np.mean(s.values)) == pytest.approx(float(np.var(x)), rel=0.03)
 
 
@@ -579,7 +574,7 @@ def test_welch_localizes_a_sinusoid():
     k0 = 100
     omega0 = 2 * np.pi * k0 / 1024
     t = np.arange(2**14)
-    s = welch_psd(np.sin(omega0 * t), WelchParams(), FrequencyGrid(4096))
+    s = welch_psd(np.sin(omega0 * t), FrequencyGrid(4096))
     peak = abs(float(s.grid.omegas[int(np.argmax(s.values))]))
     assert peak == pytest.approx(omega0, abs=2 * np.pi / 1024)
 
@@ -594,7 +589,7 @@ def shaped_w(spec, n_samples, seed):
 def test_welch_colored_spectrum_shape():
     g = FrequencyGrid(4096)
     x = shaped_w(colored(1.0, tf([1.0], [1.0, -0.5])), 2**16, seed=1)
-    s = welch_psd(x, WelchParams(), g)
+    s = welch_psd(x, g)
     i0 = int(np.argmin(np.abs(g.omegas)))
     # true PSD: 1/|1 - 0.5 e^{-jw}|^2, i.e. 4 at DC, 4/9 at the band edge;
     # single bins carry ~10% estimator noise, so the seed is pinned
@@ -608,20 +603,18 @@ def test_welch_equals_the_explicit_segment_loop():
     # partial block of 23; 5000 samples make 8, fewer than one block
     for n in (2**17 - 4096, 5000):
         x = np.random.Generator(np.random.Philox(4)).standard_normal(n)
-        for params in (WelchParams(), WelchParams(256, 0.3), WelchParams(1024, 0.0)):
-            nseg = params.segment_length
-            hop = max(1, int(round(nseg * (1.0 - params.overlap_fraction))))
-            win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nseg) / nseg)
-            acc = np.zeros(nseg // 2 + 1)
-            count = 0
-            for start in range(0, len(x) - nseg + 1, hop):
-                acc += np.abs(np.fft.rfft(x[start : start + nseg] * win)) ** 2
-                count += 1
-            half = acc / (count * np.sum(win**2))
-            got = welch_psd(x, params, FrequencyGrid(nseg))
-            # on a grid of nseg points the bins land on grid points exactly
-            want = np.roll(np.concatenate([half, half[1 : nseg // 2][::-1]]), nseg // 2)
-            assert np.array_equal(got.values, want)
+        nseg, hop = 1024, 512
+        win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nseg) / nseg)
+        acc = np.zeros(nseg // 2 + 1)
+        count = 0
+        for start in range(0, len(x) - nseg + 1, hop):
+            acc += np.abs(np.fft.rfft(x[start : start + nseg] * win)) ** 2
+            count += 1
+        half = acc / (count * np.sum(win**2))
+        got = welch_psd(x, FrequencyGrid(nseg))
+        # on a grid of nseg points the bins land on grid points exactly
+        want = np.roll(np.concatenate([half, half[1 : nseg // 2][::-1]]), nseg // 2)
+        assert np.array_equal(got.values, want)
 
 
 def test_shaped_noise_one_pole_is_the_explicit_recursion():
@@ -652,7 +645,7 @@ def test_shaped_noise_arma_matches_impulse_response_convolution():
 
 def test_welch_rejects_short_input():
     with pytest.raises(InvalidInputError):
-        welch_psd(np.zeros(100), WelchParams(segment_length=1024))
+        welch_psd(np.zeros(100))
 
 
 # ---------------------------------------------------------------------------

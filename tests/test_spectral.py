@@ -8,20 +8,25 @@ import numpy as np
 import pytest
 
 from loopinfo import (
+    ClosedLoop,
     DivisionDomainError,
     FrequencyGrid,
     InvalidInputError,
     LogDomainError,
     LoopModel,
+    RateInputs,
+    SimulationConfig,
     SingularityError,
     SpectrumSamples,
     UnstableLoopError,
     close_loop,
     colored,
+    decompose,
     log_integral,
     noise_psd,
     output_psd,
     sensitivity_ratio,
+    simulate_loop,
     spectrum_to_csv,
     tf,
     welch_psd,
@@ -131,12 +136,28 @@ def test_noise_spec_validation():
     with pytest.raises(InvalidInputError):
         colored(1.0, None)
     with pytest.raises(InvalidInputError):
-        # white noise takes no shaping filter
-        from loopinfo import NoiseSpec
-
-        NoiseSpec("white", 1.0, tf([1.0], [1.0, -0.5]))
-    with pytest.raises(InvalidInputError):
         colored(1.0, tf([1.0], [1.0, -2.0]))  # unstable shaping
+
+
+def test_a_source_with_unit_shaping_is_white(worked_model):
+    """A source is its variance and its shaping: unit shaping is white
+    noise, whichever helper built it."""
+    assert colored(0.7, TF_ONE) == white(0.7)
+    g = FrequencyGrid(1024)
+    assert noise_psd(colored(0.7, TF_ONE), g).values.tobytes() == (
+        noise_psd(white(0.7), g).values.tobytes()
+    )
+    m_colored, m_white = (
+        LoopModel(worked_model.plant, worked_model.controller, TF_ONE, white(1.3), source)
+        for source in (colored(0.7, TF_ONE), white(0.7))
+    )
+    assert decompose(RateInputs(m_colored, g)) == decompose(RateInputs(m_white, g))
+    a, b = (
+        simulate_loop(SimulationConfig(m, n_samples=4096, burn_in=0, seed=3))
+        for m in (m_colored, m_white)
+    )
+    for name in ("y", "w", "v", "z", "u"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def test_white_psd_is_flat():
@@ -194,6 +215,18 @@ def test_output_psd_requires_matching_grid_and_stability():
     )
     with pytest.raises(UnstableLoopError):
         output_psd(unstable, sw, noise_psd(white(1.0), g))
+
+
+def test_hand_built_closed_loop_takes_its_stability_from_f_wy():
+    """A ClosedLoop is its two maps: poles and stability cannot be set apart
+    from f_wy."""
+    g = FrequencyGrid(64)
+    f = tf([1.0], [1.0, -2.0])  # a pole at z = 2
+    cl = ClosedLoop(f, f)
+    assert cl.closed_loop_poles == (2 + 0j,) and not cl.is_stable
+    with pytest.raises(UnstableLoopError) as info:
+        output_psd(cl, noise_psd(white(1.0), g), noise_psd(white(1.0), g))
+    assert info.value.poles == (2 + 0j,)
 
 
 # ---------------------------------------------------------------------------
