@@ -190,21 +190,23 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_values(text: str):
+    """A JSON number or list of numbers (bools and strings are not numbers),
+    else comma-separated tokens parsed as floats; blank text is no values."""
     text = text.strip()
     if not text:
         return []
     try:
         parsed = json.loads(text)
     except ValueError:
-        parsed = [tok for tok in text.split(",") if tok.strip()]
+        try:
+            return [float(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"bad --values list: {exc}") from exc
     items = parsed if isinstance(parsed, list) else [parsed]
-    bools = [x for x in items if isinstance(x, bool)]
-    if bools:
-        raise ConfigError(f"bad --values list: not a number: {json.dumps(bools[0])}")
-    try:
-        return [float(x) for x in items]
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad --values list: {exc}") from exc
+    for x in items:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ConfigError(f"bad --values list: not a number: {json.dumps(x)}")
+    return [float(x) for x in items]
 
 
 def cmd_sweep(args) -> int:

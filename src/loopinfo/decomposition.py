@@ -432,8 +432,11 @@ def random_stabilized_loop(rng: np.random.Generator) -> LoopModel:
 
 
 def _check_seed(seed: int) -> None:
-    """Seeds of the random suite and of the simulation lie in [0, 2^64)."""
-    if not (0 <= seed < 2**64):
+    """Seeds of the random suite and of the simulation are integers, Python's
+    or numpy's but not bools, in [0, 2^64)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise InvalidInputError(f"seed must be an integer, got {seed!r}")
+    if not (0 <= int(seed) < 2**64):
         raise InvalidInputError(f"seed must fit in 64 bits, got {seed!r}")
 
 

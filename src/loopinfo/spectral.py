@@ -168,26 +168,50 @@ def colored(variance: float, shaping: TransferFunction) -> NoiseSpec:
 
 
 def squared_gain(tf_: TransferFunction, grid: FrequencyGrid) -> np.ndarray:
-    """|tf(e^{-j omega})|^2 on the grid, a new array; a static gain c needs
-    no evaluation."""
+    """|tf(e^{-j omega})|^2 on the grid, a new array, exactly even (see
+    _even_power); a static gain c needs no evaluation."""
     if tf_.num.degree == 0 and tf_.den.degree == 0:
         c = tf_.num.coeffs[0] / tf_.den.coeffs[0]
         return np.full(grid.n_points, c * c)
-    mag = np.abs(unit_circle_response(tf_, grid.unit_circle, grid.omegas))
-    return np.square(mag, out=mag)
+    return _even_power(tf_, grid)
 
 
 def noise_psd(spec: NoiseSpec, grid: FrequencyGrid) -> SpectrumSamples:
-    """PSD of the source on the grid: sigma^2, or sigma^2 * |G|^2."""
+    """PSD of the source on the grid: sigma^2, or sigma^2 * |G|^2, exactly
+    even (see _even_power)."""
     if spec.shaping == TF_ONE:
         return _owned(SpectrumSamples, grid, np.full(grid.n_points, spec.variance))
-    mag = np.abs(unit_circle_response(spec.shaping, grid.unit_circle, grid.omegas))
-    if np.any(mag <= 1e-9):  # named at the sample nearest the zero
+    return _owned(SpectrumSamples, grid, _even_power(spec.shaping, grid, spec.variance))
+
+
+def _even_power(
+    tf_: TransferFunction, grid: FrequencyGrid, variance: float | None = None
+) -> np.ndarray:
+    """|tf(e^{-j omega})|^2 on the grid, a new array; for a source's shaping
+    filter (variance given) times the variance, and the filter must not
+    vanish on the circle.
+
+    tf_ has real coefficients, so |tf| is even in omega, and sample n - k of
+    the grid is the mirror of sample k. Only the n/2 + 1 samples with omega
+    in [-pi, 0] are evaluated; the rest are copied from their mirrors, so
+    the result is exactly even. A check on the evaluated samples names the
+    first one it flags, as a check on all n would: a flagged sample with
+    omega > 0 has its mirror at a lower index.
+    """
+    n = grid.n_points
+    m = n // 2 + 1
+    response = unit_circle_response(tf_, grid.unit_circle[:m], grid.omegas[:m])
+    out = np.empty(n)
+    head = np.abs(response, out=out[:m])
+    if variance is not None and np.any(head <= 1e-9):
+        # named at the sample nearest the zero
         what = "shaping filter vanishes on the unit circle"
-        _raise_at_sample(SingularityError, what, grid.omegas, int(np.argmin(mag)))
-    np.square(mag, out=mag)
-    mag *= spec.variance
-    return _owned(SpectrumSamples, grid, mag)
+        _raise_at_sample(SingularityError, what, grid.omegas, int(np.argmin(head)))
+    np.square(head, out=head)
+    if variance is not None:
+        head *= variance
+    out[m:] = head[n // 2 - 1 : 0 : -1]
+    return out
 
 
 def output_psd(
@@ -216,7 +240,9 @@ def _closed_loop_gains(cl: ClosedLoop, grid: FrequencyGrid):
 
 @dataclass(frozen=True, eq=False)
 class LoopSpectra:
-    """A loop's spectra on one grid, each transfer function evaluated once.
+    """A loop's spectra on one grid, each transfer function evaluated once,
+    on the half of the grid with omega in [-pi, 0], and mirrored: every
+    array here, sy too, is exactly even (see _even_power).
 
     sw and sv are the source PSDs; h2, fwy2 and fvy2 the squared gains |H|^2,
     |F_wy|^2 and |F_vy|^2. Every quantity the rate, its split and the entropy

@@ -389,6 +389,16 @@ def test_sweep_rejects_boolean_values(loop_config, values):
     assert "not a number: " + ("true" if values == "true" else "false") in res.stderr
 
 
+@pytest.mark.parametrize("values", ['["1.5"]', '"1.5"', "[1.0, null]", "[[1.0]]"])
+def test_sweep_rejects_values_that_are_not_json_numbers(loop_config, values):
+    res = run_cli("sweep", str(loop_config), "--param", "sigma_v2", "--values", values)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    named = json.loads(values)
+    named = named[-1] if isinstance(named, list) else named
+    assert "not a number: " + json.dumps(named) in res.stderr
+
+
 def test_sweep_unknown_param_rejected(loop_config):
     res = run_cli("sweep", str(loop_config), "--param", "gain", "--values", "1")
     assert res.returncode == 1

@@ -284,7 +284,8 @@ def test_decompose_evaluates_each_transfer_function_once(monkeypatch):
     for f in evaluated:
         assert _times_evaluated(calls, f) == 1
     assert len(calls) == len(evaluated)
-    assert all(n == 512 for _, n in calls)  # the requested grid only
+    # the requested grid only, and on it the 257 samples with omega in [-pi, 0]
+    assert all(n == 512 // 2 + 1 for _, n in calls)
 
 
 def test_independence_check_evaluates_sources_once(monkeypatch):
@@ -375,7 +376,8 @@ def test_near_singular_integrand_raises_at_once(monkeypatch):
         with pytest.raises(SingularityError, match="omega=0.0") as exc:
             decompose(inputs)
     assert exc.value.omega == 0.0
-    assert calls and all(n == 256 for _, n in calls)  # the requested grid only
+    # the requested grid only, and on it the samples with omega in [-pi, 0]
+    assert calls and all(n == 256 // 2 + 1 for _, n in calls)
     assert not any("refin" in str(w.message) for w in caught)
 
 
@@ -659,6 +661,16 @@ def test_identity_suite_rejects_a_negative_count():
 def test_identity_suite_rejects_a_seed_outside_64_bits(seed):
     with pytest.raises(InvalidInputError, match="seed"):
         run_identity_suite(2, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", None])
+def test_identity_suite_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(InvalidInputError, match="seed must be an integer"):
+        run_identity_suite(1, seed=seed)
+
+
+def test_identity_suite_takes_a_numpy_integer_seed():
+    assert run_identity_suite(2, seed=np.uint64(9)) == run_identity_suite(2, seed=9)
 
 
 def test_identity_suite_is_seeded():

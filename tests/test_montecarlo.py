@@ -54,6 +54,18 @@ def test_simulation_config_validation():
         SimulationConfig(open_loop(), seed=2**64)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, np.float64(3.0), "3"])
+def test_simulation_config_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(InvalidInputError, match="seed must be an integer"):
+        SimulationConfig(open_loop(), seed=seed)
+
+
+def test_simulation_config_takes_a_numpy_integer_seed():
+    cfg = SimulationConfig(open_loop(), n_samples=2**12, burn_in=0, seed=np.int64(5))
+    traj = simulate_loop(cfg)
+    assert traj.y.tobytes() == simulate_loop(replace(cfg, seed=5)).y.tobytes()
+
+
 def test_open_loop_output_variance():
     traj = simulate_loop(SimulationConfig(open_loop(), n_samples=2**15, seed=5))
     assert np.var(traj.y) == pytest.approx(2.0, abs=0.1)

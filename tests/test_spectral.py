@@ -22,9 +22,11 @@ from loopinfo import (
     close_loop,
     colored,
     decompose,
+    freq_response_array,
     log_integral,
     noise_psd,
     output_psd,
+    pole_placement_controller,
     sensitivity_ratio,
     simulate_loop,
     spectrum_to_csv,
@@ -33,7 +35,7 @@ from loopinfo import (
     white,
 )
 from loopinfo.lti import TF_ONE
-from loopinfo.spectral import LoopSpectra
+from loopinfo.spectral import LoopSpectra, squared_gain
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +183,46 @@ def test_colored_psd_rejects_circle_zero_denominator():
     g = FrequencyGrid(64)
     with pytest.raises((SingularityError, InvalidInputError)):
         noise_psd(colored(1.0, tf([1.0], [1.0, -1.0])), g)
+
+
+def _even_test_model():
+    """Dynamic H and colored noise on both sources: every spectrum evaluated."""
+    plant, h = tf([0.0, 1.0], [1.0, -2.0]), tf([1.0, 0.5], [1.0, -0.3])
+    return LoopModel(
+        plant,
+        pole_placement_controller(plant * h, [0.1, 0.2, -0.3]),
+        h,
+        colored(0.8, tf([1.0, -0.4])),
+        colored(1.5, tf([1.0], [1.0, -0.6])),
+    )
+
+
+@pytest.mark.parametrize("n", [64, 4096, 65536])
+def test_library_spectra_are_exactly_even(n):
+    """Sample n - k is the mirror of sample k, bit for bit."""
+    g = FrequencyGrid(n)
+    model = _even_test_model()
+    spectra = LoopSpectra.evaluate(model, g)
+    evaluated = [
+        noise_psd(model.channel_noise, g).values,
+        noise_psd(model.output_disturbance, g).values,
+        squared_gain(model.feedback_filter, g),
+        squared_gain(close_loop(model).f_wy, g),
+        spectra.sy.values,
+    ]
+    for v in evaluated:
+        assert v[1:].tobytes() == v[:0:-1].tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 4096, 65536])
+def test_squared_gain_evaluates_omega_up_to_zero_and_mirrors(n):
+    """The samples with omega in [-pi, 0] are |tf|^2 there, as the
+    arbitrary-omega route evaluates it; the rest are their mirrors."""
+    g = FrequencyGrid(n)
+    f = close_loop(_even_test_model()).f_vy
+    head = np.abs(freq_response_array(f, g.omegas[: n // 2 + 1])) ** 2
+    expected = np.concatenate([head, head[n // 2 - 1 : 0 : -1]])
+    assert squared_gain(f, g).tobytes() == expected.tobytes()
 
 
 def test_output_psd_passthrough_and_worked_example(worked_model):
