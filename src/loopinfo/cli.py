@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import asdict, replace
 
-from .config import RunOptions, _transfer, load_config
+from .config import RunOptions, _number, _transfer, load_config
 from .decomposition import (
     RateInputs,
     controller_independence_check,
@@ -203,10 +203,7 @@ def _parse_values(text: str):
         except ValueError as exc:
             raise ConfigError(f"bad --values list: {exc}") from exc
     items = parsed if isinstance(parsed, list) else [parsed]
-    for x in items:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(f"bad --values list: not a number: {json.dumps(x)}")
-    return [float(x) for x in items]
+    return [_number(x, f"--values[{i}]", json.dumps) for i, x in enumerate(items)]
 
 
 def cmd_sweep(args) -> int:

@@ -62,15 +62,22 @@ def _reject_unknown(node, allowed, path):
             raise ConfigError(f"{path}.{key}: unknown key", field=f"{path}.{key}")
 
 
+def _number(x, path, shown=repr) -> float:
+    """x as a float: a JSON number (bools are not numbers) that a float can
+    hold. A rejected value is named at path, shown by shown; an integer too
+    large for a float is not shown, its digits could fill the screen."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ConfigError(f"{path}: not a number: {shown(x)}", field=path)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ConfigError(f"{path}: integer too large for a float", field=path) from None
+
+
 def _coeffs(node, path):
     if not isinstance(node, list) or not node:
         raise ConfigError(f"{path}: expected a non-empty coefficient array", field=path)
-    out = []
-    for i, x in enumerate(node):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(f"{path}[{i}]: not a number: {x!r}", field=f"{path}[{i}]")
-        out.append(float(x))
-    return out
+    return [_number(x, f"{path}[{i}]") for i, x in enumerate(node)]
 
 
 def _transfer(node, path) -> TransferFunction:
@@ -93,10 +100,7 @@ def _noise(node, path) -> NoiseSpec:
     if kind not in ("white", "colored"):
         raise ConfigError(f"{path}.kind: expected white|colored, got {kind!r}",
                           field=f"{path}.kind")
-    variance = node.get("variance", 1.0)
-    if isinstance(variance, bool) or not isinstance(variance, (int, float)):
-        raise ConfigError(f"{path}.variance: not a number: {variance!r}",
-                          field=f"{path}.variance")
+    variance = _number(node.get("variance", 1.0), f"{path}.variance")
     shaping = TF_ONE
     if kind == "colored":
         if "shaping" not in node:
@@ -107,7 +111,7 @@ def _noise(node, path) -> NoiseSpec:
         raise ConfigError(f"{path}.shaping: not allowed for white noise",
                           field=f"{path}.shaping")
     try:
-        return NoiseSpec(float(variance), shaping)
+        return NoiseSpec(variance, shaping)
     except InvalidInputError as exc:
         raise ConfigError(f"{path}: {exc}", field=path) from exc
 
@@ -137,7 +141,7 @@ def parse_config(data) -> LoopConfig:
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
             raise ConfigError(f"invalid JSON: {exc}") from exc
     data = _require_mapping(data, "config")
     _reject_unknown(data, _TOP_KEYS, "config")

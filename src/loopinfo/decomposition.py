@@ -41,14 +41,15 @@ from .spectral import (
     LoopSpectra,
     NoiseSpec,
     SpectrumSamples,
+    _check_psd_values,
     _closed_loop_gains,
     _divisor,
     _first_low,
+    _mirror,
     _write_csv,
     colored,
     log_integral,
     noise_psd,
-    sensitivity_ratio,
     squared_gain,
     white,
 )
@@ -118,23 +119,40 @@ def _integrands(spectra: LoopSpectra, take) -> tuple[tuple, int | None]:
     """take applied to each integrand in turn, log sqrt(S_Y/S_W), (1/2)
     log|F_wy|^2, the simplified and the F-ratio disturbance form, each formed
     in one scratch array that the next overwrites (take must not keep it),
-    and the first index where ratio^2 or |F_wy|^2 is near-singular, or None."""
-    sw, sv, fwy2 = spectra.sw.values, spectra.sv.values, spectra.fwy2
-    ratio = sensitivity_ratio(spectra.sy, spectra.sw).values
-    scratch = np.square(ratio)
+    and the first index where ratio^2 or |F_wy|^2 is near-singular, or None.
 
-    omegas = spectra.sw.grid.omegas
-    low_ratio = _first_low("sensitivity ratio", scratch, omegas)
+    The spectra are exactly even, and each step is elementwise, so each
+    integrand is formed on the n/2 + 1 samples with omega in [-pi, 0] and
+    mirrored: take gets the n samples a full-grid pass would form, bit for
+    bit. The sensitivity ratio gets sensitivity_ratio's checks, and every
+    check names the omega a full-grid check would (see _even_power).
+    """
+    grid = spectra.sw.grid
+    omegas, m = grid.omegas, grid.n_points // 2 + 1
+    sw, sv, h2, fwy2, fvy2 = (
+        a[:m] for a in (spectra.sw.values, spectra.sv.values, spectra.h2,
+                        spectra.fwy2, spectra.fvy2)
+    )
+    ratio = np.divide(spectra.sy.values[:m], _divisor(sw, omegas))
+    np.sqrt(ratio, out=ratio)
+    _check_psd_values(ratio, omegas)
+    scratch = np.empty(grid.n_points)
+    head = np.square(ratio, out=scratch[:m])
+
+    low_ratio = _first_low("sensitivity ratio", head, omegas)
     low_fwy = _first_low("|f_wy|^2", fwy2, omegas)
     low = min((k for k in (low_ratio, low_fwy) if k is not None), default=None)
 
-    total = take(np.log(ratio, out=scratch))
+    np.log(ratio, out=head)
+    total = take(_mirror(scratch))
     del ratio  # freed before the F-ratio form's denominator is formed
-    np.log(fwy2, out=scratch)
-    scratch *= 0.5
-    control = take(scratch)
-    disturbance = take(_simplified_form(sw, sv, spectra.h2, scratch))
-    disturbance_alt = take(_f_ratio_form(sw, sv, fwy2, spectra.fvy2, omegas, scratch))
+    np.log(fwy2, out=head)
+    head *= 0.5
+    control = take(_mirror(scratch))
+    _simplified_form(sw, sv, h2, head)
+    disturbance = take(_mirror(scratch))
+    _f_ratio_form(sw, sv, fwy2, fvy2, omegas, head)
+    disturbance_alt = take(_mirror(scratch))
     return (total, control, disturbance, disturbance_alt), low
 
 
@@ -304,12 +322,18 @@ def controller_independence_check(
     |F_vy|^2, checked as in decompose, and their F-ratio mean, which must
     match the simplified mean within 1e-10. PASS iff the F-ratio means agree
     within 1e-9. A non-stabilizing controller raises, naming its index.
+
+    As in decompose, each integrand is formed on the n/2 + 1 samples with
+    omega in [-pi, 0] and mirrored, and each mean is over all n samples.
     """
     grid = grid or FrequencyGrid()
-    sw = _divisor(noise_psd(model.channel_noise, grid))
-    sv = noise_psd(model.output_disturbance, grid).values
+    omegas, m = grid.omegas, grid.n_points // 2 + 1
+    sw = _divisor(noise_psd(model.channel_noise, grid).values[:m], omegas)
+    sv = noise_psd(model.output_disturbance, grid).values[:m]
     scratch = squared_gain(model.feedback_filter, grid)
-    simplified = _mean(_simplified_form(sw, sv, scratch, scratch))
+    head = scratch[:m]
+    _simplified_form(sw, sv, head, head)
+    simplified = _mean(_mirror(scratch))
     _warn_if_off_exact(abs(simplified - _disturbance_term_exact(model)), grid, stacklevel=2)
 
     terms = []
@@ -324,9 +348,10 @@ def controller_independence_check(
                 poles=getattr(exc, "poles", ()),
             ) from exc
         fwy2, fvy2 = _closed_loop_gains(close_loop(candidate), grid)
-        _reject_near_singular(_first_low("|f_wy|^2", fwy2, grid.omegas), grid.omegas)
-        term = _mean(_f_ratio_form(sw, sv, fwy2, fvy2, grid.omegas, scratch))
+        _reject_near_singular(_first_low("|f_wy|^2", fwy2[:m], omegas), omegas)
+        _f_ratio_form(sw, sv, fwy2[:m], fvy2[:m], omegas, head)
         del fwy2, fvy2  # freed before the next controller's are formed
+        term = _mean(_mirror(scratch))
         _require_forms_agree(simplified, term)
         terms.append(term)
     deviation = max(terms) - min(terms) if terms else 0.0

@@ -102,6 +102,11 @@ class SpectrumSamples:
     LoopSpectra.sy, sensitivity_ratio, welch_psd and its floored copies in
     the empirical rate) are built by _owned from arrays just formed for them
     and referenced nowhere else.
+
+    The values are checked in order: finite, nonnegative, then even, sample k
+    matching its mirror n - k within 1e-300 + 1e-9 times the mirror. An
+    exactly even spectrum, as every library spectrum on an analytic path is,
+    passes the last check in one comparison.
     """
 
     grid: FrequencyGrid
@@ -115,25 +120,33 @@ class SpectrumSamples:
             raise InvalidInputError(
                 f"expected {grid.n_points} samples, got shape {v.shape}"
             )
-        if not np.all(np.isfinite(v)):
-            raise InvalidInputError("spectrum contains non-finite values")
-        if np.any(v < 0.0):
-            k = int(np.argmin(v))
-            _raise_at_sample(InvalidInputError, "negative PSD value", grid.omegas, k, v)
-        # v[k] must match its mirror v[n - k] within 1e-300 + 1e-9 * v[n - k];
-        # sample 0 is its own mirror. Two scratch arrays hold the gaps and the
-        # tolerances, rounded exactly as in abs(tail - mirror) > 1e-300 + 1e-9
-        # * mirror, so the decision keeps its bits.
-        tail, mirror = v[1:], v[:0:-1]
-        gap = np.subtract(tail, mirror)
-        np.abs(gap, out=gap)
-        tol = np.multiply(mirror, 1e-9)
-        tol += 1e-300
-        if np.any(gap > tol):
-            raise InvalidInputError("spectrum is not even-symmetric on the grid")
+        _check_psd_values(v, grid.omegas)
+        tail, mirror = v[1:], v[:0:-1]  # sample 0 is its own mirror
+        if not np.array_equal(tail, mirror):
+            # Two scratch arrays hold the gaps and the tolerances, rounded
+            # exactly as in abs(tail - mirror) > 1e-300 + 1e-9 * mirror, so
+            # the decision keeps its bits; an exact pair has gap 0 and passes.
+            gap = np.subtract(tail, mirror)
+            np.abs(gap, out=gap)
+            tol = np.multiply(mirror, 1e-9)
+            tol += 1e-300
+            if np.any(gap > tol):
+                raise InvalidInputError("spectrum is not even-symmetric on the grid")
         v.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", v)
+
+
+def _check_psd_values(v: np.ndarray, omegas: np.ndarray) -> None:
+    """SpectrumSamples' value checks, on a spectrum's samples, or on the first
+    n/2 + 1 of an exactly even one: every sample finite, then none negative,
+    the first smallest one named if one is (in the first n/2 + 1, as its
+    mirrors lie at higher indices)."""
+    if not np.all(np.isfinite(v)):
+        raise InvalidInputError("spectrum contains non-finite values")
+    if np.any(v < 0.0):
+        k = int(np.argmin(v))
+        _raise_at_sample(InvalidInputError, "negative PSD value", omegas, k, v)
 
 
 @dataclass(frozen=True)
@@ -210,7 +223,14 @@ def _even_power(
     np.square(head, out=head)
     if variance is not None:
         head *= variance
-    out[m:] = head[n // 2 - 1 : 0 : -1]
+    return _mirror(out)
+
+
+def _mirror(out: np.ndarray) -> np.ndarray:
+    """out, whose first n/2 + 1 samples (omega in [-pi, 0]) are set, made
+    exactly even: each sample n - k with omega > 0 is copied from sample k."""
+    h = len(out) // 2
+    out[h + 1 :] = out[h - 1 : 0 : -1]
     return out
 
 
@@ -246,7 +266,9 @@ class LoopSpectra:
 
     sw and sv are the source PSDs; h2, fwy2 and fvy2 the squared gains |H|^2,
     |F_wy|^2 and |F_vy|^2. Every quantity the rate, its split and the entropy
-    route need is formed from these arrays.
+    route need is formed from these arrays, elementwise, so it is formed on
+    the first n/2 + 1 samples and mirrored (see _mirror): sy here, the
+    integrands in the decomposition.
     """
 
     sw: SpectrumSamples
@@ -265,8 +287,12 @@ class LoopSpectra:
     @cached_property
     def sy(self) -> SpectrumSamples:
         """Loop-output PSD: |F_wy|^2 * S_W + |F_vy|^2 * S_V."""
-        values = self.fwy2 * self.sw.values + self.fvy2 * self.sv.values
-        return _owned(SpectrumSamples, self.sw.grid, values)
+        grid = self.sw.grid
+        m = grid.n_points // 2 + 1
+        values = np.empty(grid.n_points)
+        head = np.multiply(self.fwy2[:m], self.sw.values[:m], out=values[:m])
+        head += self.fvy2[:m] * self.sv.values[:m]
+        return _owned(SpectrumSamples, grid, _mirror(values))
 
 
 def sensitivity_ratio(sa: SpectrumSamples, sb: SpectrumSamples) -> SpectrumSamples:
@@ -275,15 +301,15 @@ def sensitivity_ratio(sa: SpectrumSamples, sb: SpectrumSamples) -> SpectrumSampl
         raise InvalidInputError(
             f"mismatched grids: {sa.grid.n_points} vs {sb.grid.n_points} points"
         )
-    ratio = np.divide(sa.values, _divisor(sb))
+    ratio = np.divide(sa.values, _divisor(sb.values, sb.grid.omegas))
     return _owned(SpectrumSamples, sa.grid, np.sqrt(ratio, out=ratio))
 
 
-def _divisor(s: SpectrumSamples) -> np.ndarray:
-    """s's values, which must stay above 1e-300 to divide by them."""
-    tiny = s.values <= 1e-300
-    _raise_at_sample(DivisionDomainError, "denominator spectrum vanishes", s.grid.omegas, tiny)
-    return s.values
+def _divisor(values: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """values, a spectrum's samples, which must stay above 1e-300 to divide by them."""
+    tiny = values <= 1e-300
+    _raise_at_sample(DivisionDomainError, "denominator spectrum vanishes", omegas, tiny)
+    return values
 
 
 def log_integral(s: SpectrumSamples) -> float:

@@ -399,6 +399,18 @@ def test_sweep_rejects_values_that_are_not_json_numbers(loop_config, values):
     assert "not a number: " + json.dumps(named) in res.stderr
 
 
+@pytest.mark.parametrize(
+    "values", ["1" + "0" * 400, "[0.5, 1" + "0" * 400 + "]"], ids=["number", "list"]
+)
+def test_sweep_integer_too_large_for_a_float_is_a_usage_error(loop_config, values):
+    res = run_cli("sweep", str(loop_config), "--param", "sigma_v2", "--values", values)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "integer too large for a float" in res.stderr
+    assert "0" * 20 not in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_sweep_unknown_param_rejected(loop_config):
     res = run_cli("sweep", str(loop_config), "--param", "gain", "--values", "1")
     assert res.returncode == 1

@@ -10,6 +10,9 @@ from loopinfo.config import RunOptions, dump_config, load_config, write_config
 from loopinfo.lti import TF_ONE
 
 
+HUGE = int("1" + "0" * 400)
+
+
 def minimal():
     return {
         "plant": {"num": [0.0, 1.0], "den": [1.0, -2.0]},
@@ -72,6 +75,11 @@ def test_parse_full_schema():
             "config.channel_noise.shaping",
         ),
         (lambda d: d["plant"].update(den=[0.0, 1.0]), "config.plant"),
+        # integers that no float can hold, named without their digits
+        (lambda d: d["plant"].update(num=[0.0, HUGE]),
+         "config.plant.num[1]: integer too large for a float"),
+        (lambda d: d.update(output_disturbance={"variance": HUGE}),
+         "config.output_disturbance.variance: integer too large for a float"),
     ],
 )
 def test_parse_errors_name_the_field(mutate, fragment):
@@ -80,6 +88,13 @@ def test_parse_errors_name_the_field(mutate, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(data)
     assert fragment in str(err.value)
+
+
+def test_integer_past_the_conversion_limit_is_a_config_error():
+    # json.loads refuses integers of over 4300 digits with a bare ValueError
+    text = json.dumps(minimal()).replace("-2.0]", "1" + "0" * 5000 + "]", 1)
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        parse_config(text)
 
 
 def test_parse_rejects_improper_loop():

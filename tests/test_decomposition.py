@@ -38,7 +38,7 @@ from loopinfo import (
     white,
     white_noise_disturbance_term,
 )
-from loopinfo import spectral
+from loopinfo import decomposition, spectral
 from loopinfo.decomposition import _disturbance_term_exact
 from loopinfo.lti import TF_ONE, TF_ZERO
 
@@ -304,6 +304,38 @@ def test_independence_check_evaluates_sources_once(monkeypatch):
     ):
         assert _times_evaluated(calls, f) == 1
     assert len(calls) == 3 + 2 * len(controllers)  # F_wy and F_vy per controller
+
+
+@pytest.mark.parametrize("n", [4096, 65536])
+def test_integrands_are_formed_on_the_evaluated_half(monkeypatch, n):
+    """Both disturbance forms run on the n/2 + 1 samples with omega in
+    [-pi, 0], in decompose and in the independence check."""
+    sizes = []
+    real = decomposition._simplified_form
+
+    def counting(sw, sv, h2, out):
+        sizes.append(len(out))
+        return real(sw, sv, h2, out)
+
+    monkeypatch.setattr(decomposition, "_simplified_form", counting)
+    model = colored_dynamic_h_model()
+    grid = FrequencyGrid(n)
+    decompose(RateInputs(model, grid))
+    assert sizes == [n // 2 + 1] * 2  # the simplified and the F-ratio form
+    sizes.clear()
+    controllers = [placed_controller([0.0, 0.4, 0.5]), placed_controller([0.1, 0.2, -0.3])]
+    controller_independence_check(model, controllers, grid)
+    assert sizes == [n // 2 + 1] * 3  # the simplified form, then one per controller
+
+
+@pytest.mark.parametrize("n", [64, 4096, 65536])
+def test_integrands_taken_are_full_and_exactly_even(n):
+    spectra = spectral.LoopSpectra.evaluate(colored_dynamic_h_model(), FrequencyGrid(n))
+    taken, _ = decomposition._integrands(spectra, np.copy)
+    assert len(taken) == 4
+    for x in taken:
+        assert x.shape == (n,)
+        assert np.array_equal(x[1:], x[:0:-1])
 
 
 def _root_key(coeffs):

@@ -629,6 +629,17 @@ def test_welch_equals_the_explicit_segment_loop():
         assert np.array_equal(got.values, want)
 
 
+def test_welch_is_exactly_even_only_where_grid_samples_are_bins():
+    x = np.random.Generator(np.random.Philox(5)).standard_normal(2**15)
+    for n in (64, 1024, 4096, 65536):
+        v = welch_psd(x, FrequencyGrid(n)).values
+        gap = np.abs(v[1:] - v[:0:-1]) / v[:0:-1]
+        # at most 1024 points every sample is a bin; finer grids interpolate
+        # at omegas that are not all exact negatives of their mirrors
+        assert (float(np.max(gap)) == 0.0) == (n <= 1024)
+        assert float(np.max(gap)) < 1e-12
+
+
 def test_shaped_noise_one_pole_is_the_explicit_recursion():
     c = 0.9
     eps = np.random.Generator(np.random.Philox(2)).standard_normal(4096)

@@ -96,6 +96,22 @@ def test_spectrum_samples_validation():
     assert not s.values.flags.writeable
     with pytest.raises(InvalidInputError):
         SpectrumSamples(g, np.linspace(1.0, 2.0, 64))
+    # the evenness tolerance: 1e-9 of the mirror sample
+    for asymmetry, even in ((0.0, True), (5e-10, True), (2e-9, False)):
+        vals = 2.0 + np.cos(np.arange(64) * (2.0 * np.pi / 64))
+        vals[1:32] = vals[63:32:-1]
+        vals[20] *= 1.0 + asymmetry
+        if even:
+            SpectrumSamples(g, vals)
+        else:
+            with pytest.raises(InvalidInputError, match="not even-symmetric"):
+                SpectrumSamples(g, vals)
+    # an exactly even spectrum is still checked for finite, nonnegative values
+    for bad, message in ((np.inf, "non-finite"), (-1.0, "negative PSD value -1.0 at omega=")):
+        vals = np.ones(64)
+        vals[20] = vals[44] = bad
+        with pytest.raises(InvalidInputError, match=message):
+            SpectrumSamples(g, vals)
 
 
 def test_spectrum_samples_copies_what_a_caller_passes():
