@@ -210,9 +210,13 @@ def bode_term_analytic(model: LoopModel) -> float:
 def white_noise_disturbance_term(sigma_v2: float, sigma_w2: float) -> float:
     """(1/2) ln(1 + sigma_v^2/sigma_w^2): disturbance term for white noises, H = 1."""
     if not np.isfinite(sigma_w2) or sigma_w2 <= 0.0:
-        raise InvalidInputError(f"channel noise variance must be > 0, got {sigma_w2!r}")
+        raise InvalidInputError(
+            f"channel noise variance must be finite and > 0, got {sigma_w2!r}"
+        )
     if not np.isfinite(sigma_v2) or sigma_v2 < 0.0:
-        raise InvalidInputError(f"disturbance variance must be >= 0, got {sigma_v2!r}")
+        raise InvalidInputError(
+            f"disturbance variance must be finite and >= 0, got {sigma_v2!r}"
+        )
     return 0.5 * math.log1p(sigma_v2 / sigma_w2)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -218,9 +218,32 @@ TF_ZERO = tf([0.0])
 def freq_response_array(tf_: TransferFunction, omegas: np.ndarray) -> np.ndarray:
     """Vectorized unit-circle response over an array of frequencies, as a
     new complex array (see _unit_circle_points and unit_circle_response for
-    the temporaries it avoids)."""
+    the temporaries it avoids).
+
+    A grid's own frequencies, the read-only array FrequencyGrid.omegas
+    returns, are evaluated at that grid's cached points e^{-j omega}; any
+    other array gets its points computed, with the same bits.
+    """
     omegas = np.asarray(omegas, dtype=float)
-    return unit_circle_response(tf_, _unit_circle_points(omegas), omegas)
+    return unit_circle_response(tf_, _points_at(omegas), omegas)
+
+
+def _points_at(omegas: np.ndarray) -> np.ndarray:
+    """e^{-j omega} for omegas: the cached points when omegas is the array
+    _omegas(n) holds, else a new array. A writeable array, a view or a size
+    no grid has goes straight to _unit_circle_points, leaving the caches
+    untouched. The cached points are only read: unit_circle_response writes
+    into arrays of its own."""
+    n = omegas.size
+    if (
+        not omegas.flags.writeable
+        and omegas.base is None
+        and n >= 64
+        and n & (n - 1) == 0
+        and omegas is _omegas(n)
+    ):
+        return _unit_circle(n)
+    return _unit_circle_points(omegas)
 
 
 def _unit_circle_points(omegas: np.ndarray) -> np.ndarray:
@@ -235,6 +258,25 @@ def _unit_circle_points(omegas: np.ndarray) -> np.ndarray:
     np.cos(omegas, out=e.real)
     np.negative(omegas, out=e.imag)
     np.sin(e.imag, out=e.imag)
+    return e
+
+
+# Grids are rebuilt freely (each defaulted grid argument is a new one), so
+# their sample arrays are cached per size, read-only, for the last few sizes
+# used; spectral.FrequencyGrid hands them out.
+@lru_cache(maxsize=6)
+def _omegas(n: int) -> np.ndarray:
+    # 2*pi*k/n is exact up to one rounding that a power-of-two n does not
+    # change, so omegas(2n)[::2] == omegas(n) bit for bit.
+    w = -np.pi + 2.0 * np.pi * np.arange(n) / n
+    w.flags.writeable = False
+    return w
+
+
+@lru_cache(maxsize=6)
+def _unit_circle(n: int) -> np.ndarray:
+    e = _unit_circle_points(_omegas(n))
+    e.flags.writeable = False
     return e
 
 

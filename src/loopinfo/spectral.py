@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +29,8 @@ from .lti import (
     ClosedLoop,
     LoopModel,
     TransferFunction,
-    _unit_circle_points,
+    _omegas,
+    _unit_circle,
     _unstable,
     close_loop,
     unit_circle_response,
@@ -57,30 +58,14 @@ class FrequencyGrid:
 
     @property
     def omegas(self) -> np.ndarray:
+        """The n frequencies -pi + 2 pi k / n, read-only and cached per size;
+        freq_response_array evaluates this very array at unit_circle."""
         return _omegas(self.n_points)
 
     @property
     def unit_circle(self) -> np.ndarray:
         """The points e^{-j omega}, at which every transfer function is evaluated."""
         return _unit_circle(self.n_points)
-
-
-# Grids are rebuilt freely (each defaulted grid argument is a new one), so
-# their sample arrays are cached per size, read-only, for the last few sizes used.
-@lru_cache(maxsize=6)
-def _omegas(n: int) -> np.ndarray:
-    # 2*pi*k/n is exact up to one rounding that a power-of-two n does not
-    # change, so omegas(2n)[::2] == omegas(n) bit for bit.
-    w = -np.pi + 2.0 * np.pi * np.arange(n) / n
-    w.flags.writeable = False
-    return w
-
-
-@lru_cache(maxsize=6)
-def _unit_circle(n: int) -> np.ndarray:
-    e = _unit_circle_points(_omegas(n))
-    e.flags.writeable = False
-    return e
 
 
 def _owned(cls, *fields):
@@ -162,7 +147,9 @@ class NoiseSpec:
 
     def __post_init__(self):
         if not np.isfinite(self.variance) or self.variance < 0.0:
-            raise InvalidInputError(f"noise variance must be >= 0, got {self.variance!r}")
+            raise InvalidInputError(
+                f"noise variance must be finite and >= 0, got {self.variance!r}"
+            )
         if not isinstance(self.shaping, TransferFunction):
             raise InvalidInputError(f"shaping is not a TransferFunction: {self.shaping!r}")
         unstable = list(filter(_unstable, self.shaping.poles()))

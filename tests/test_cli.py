@@ -411,6 +411,30 @@ def test_sweep_integer_too_large_for_a_float_is_a_usage_error(loop_config, value
     assert "Traceback" not in res.stderr
 
 
+def test_sweep_infinite_variance_says_finite(loop_config):
+    # the comma form parses each token with float, so 1e400 is inf
+    res = run_cli("sweep", str(loop_config), "--param", "sigma_v2", "--values", "1e400,1")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "noise variance must be finite and >= 0, got inf" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_analyze_infinite_config_variance_says_finite(tmp_path):
+    # json.loads reads 1e400 as inf
+    cfg = tmp_path / "inf.json"
+    cfg.write_text(
+        '{"plant": {"num": [0.0, 1.0], "den": [1.0, -2.0]},'
+        ' "controller": {"num": [-2.0]},'
+        ' "output_disturbance": {"kind": "white", "variance": 1e400}}'
+    )
+    res = run_cli("analyze", str(cfg))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "config.output_disturbance: noise variance must be finite" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_sweep_unknown_param_rejected(loop_config):
     res = run_cli("sweep", str(loop_config), "--param", "gain", "--values", "1")
     assert res.returncode == 1

@@ -467,6 +467,11 @@ def test_white_noise_disturbance_term_values():
         white_noise_disturbance_term(1.0, 0.0)
     with pytest.raises(InvalidInputError):
         white_noise_disturbance_term(1.0, -2.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="must be finite and > 0"):
+            white_noise_disturbance_term(1.0, bad)
+        with pytest.raises(InvalidInputError, match="must be finite and >= 0"):
+            white_noise_disturbance_term(bad, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from loopinfo import (
+    FrequencyGrid,
     InvalidInputError,
     LoopModel,
     RateInputs,
@@ -19,6 +20,7 @@ from loopinfo import (
     tf,
     white,
 )
+from loopinfo import lti
 from loopinfo.lti import TF_ONE, Polynomial, _horner, poly_roots
 
 
@@ -198,6 +200,81 @@ def test_freq_response_pole_on_unit_circle():
     t = tf([1.0], [1.0, -1.0])
     with pytest.raises(SingularityError):
         freq_response_array(t, np.array([0.0]))
+
+
+# ---------------------------------------------------------------------------
+# freq_response_array on a grid's own frequencies
+
+PLANT = tf([0.0, 1.0], [1.0, -2.0])  # a delay numerator
+H = tf([1.0, 0.5], [1.0, -0.3])
+# P, K and H of three loops: a static gain K with H = 1 (the constant
+# Horner path), a placed dynamic K with a dynamic H, a two-sample delay
+GRID_LOOPS = (
+    (PLANT, tf([-2.0]), TF_ONE),
+    (PLANT, pole_placement_controller(PLANT * H, [0.1, 0.2, -0.3]), H),
+    (tf([0.0, 0.0, 1.0], [1.0, -0.5]), tf([0.3, -0.1], [1.0, 0.4]), tf([1.0], [1.0, 0.6])),
+)
+
+
+def _count_point_computations(monkeypatch):
+    calls = []
+    real = lti._unit_circle_points
+
+    def counting(omegas):
+        calls.append(len(omegas))
+        return real(omegas)
+
+    monkeypatch.setattr(lti, "_unit_circle_points", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [64, 4096, 65536])
+def test_grid_omegas_evaluate_as_a_copy_bit_for_bit(n):
+    g = FrequencyGrid(n)
+    for loop in GRID_LOOPS:
+        for f in loop:
+            got = freq_response_array(f, g.omegas)
+            want = freq_response_array(f, g.omegas.copy())
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.writeable
+            assert not np.shares_memory(got, g.unit_circle)
+
+
+def test_grid_omegas_reuse_the_cached_points(monkeypatch):
+    n = 4096
+    g = FrequencyGrid(n)
+    g.unit_circle  # warmed
+    calls = _count_point_computations(monkeypatch)
+    f = GRID_LOOPS[1][2]
+    freq_response_array(f, g.omegas)
+    assert calls == []
+    m = n // 2 + 1
+    others = (g.omegas.copy(), g.omegas[:m], np.linspace(-np.pi, np.pi, n, endpoint=False))
+    for omegas in others:
+        freq_response_array(f, omegas)
+    assert calls == [n, m, n]
+
+
+def test_other_arrays_leave_the_grid_caches_untouched():
+    n = 1024
+    g = FrequencyGrid(n)
+    writeable = -np.pi + 2.0 * np.pi * np.arange(n) / n
+    view = g.omegas[: n // 2]  # read-only, a power of two long
+    before = (lti._omegas.cache_info(), lti._unit_circle.cache_info())
+    for omegas in (writeable, view):
+        freq_response_array(GRID_LOOPS[1][2], omegas)
+    assert (lti._omegas.cache_info(), lti._unit_circle.cache_info()) == before
+
+
+def test_singular_denominator_on_grid_omegas_names_the_sample_as_a_copy():
+    t = tf([1.0], [1.0, -1.0])  # 1 - d vanishes at omega = 0, sample 32
+    omegas = FrequencyGrid(64).omegas
+    raised = []
+    for w in (omegas, omegas.copy()):
+        with pytest.raises(SingularityError) as info:
+            freq_response_array(t, w)
+        raised.append((info.value.omega, str(info.value)))
+    assert raised[0] == raised[1] == (0.0, "denominator vanishes on the unit circle at omega=0.0")
 
 
 # ---------------------------------------------------------------------------

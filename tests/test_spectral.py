@@ -151,6 +151,9 @@ def test_library_built_spectra_are_read_only():
 def test_noise_spec_validation():
     with pytest.raises(InvalidInputError):
         white(-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="must be finite and >= 0"):
+            white(bad)
     with pytest.raises(InvalidInputError):
         colored(1.0, None)
     with pytest.raises(InvalidInputError):
