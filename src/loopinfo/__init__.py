@@ -13,7 +13,6 @@ from types import ModuleType as _ModuleType
 from .errors import (
     ConfigError,
     ConsistencyError,
-    DegenerateLoopError,
     DivergenceError,
     DivisionDomainError,
     InvalidInputError,

@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import asdict, replace
 
-from .config import RunOptions, _number, _transfer, load_config
+from .config import _number, _transfer, load_config
 from .decomposition import (
     RateInputs,
     controller_independence_check,
@@ -22,13 +22,7 @@ from .decomposition import (
     export_integrands,
     run_identity_suite,
 )
-from .errors import (
-    ConfigError,
-    DegenerateLoopError,
-    DivergenceError,
-    LoopInfoError,
-    UnstableLoopError,
-)
+from .errors import ConfigError, DivergenceError, LoopInfoError, UnstableLoopError
 from .lti import is_stabilizing
 from .montecarlo import SimulationConfig, compare_report
 from .spectral import FrequencyGrid
@@ -71,34 +65,14 @@ def _report_json(fields: dict, factor: float = 1.0) -> dict:
     return {key: value(key, x) for key, x in fields.items()}
 
 
-def _emit(text: str, output):
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def _units(args, options: RunOptions):
-    bits = args.bits or options.log_base == "bits"
-    factor = 1.0 / math.log(2.0) if bits else 1.0
-    return factor, ("bits/sample" if bits else "nats/sample")
-
-
-def _grid(args, options: RunOptions) -> FrequencyGrid:
-    return FrequencyGrid(args.grid if args.grid is not None else options.grid_points)
-
-
-def cmd_analyze(args) -> int:
-    cfg = load_config(args.config)
-    factor, units = _units(args, cfg.options)
-    grid = _grid(args, cfg.options)
-
+def cmd_analyze(args, cfg, factor, units, grid):
     stab = is_stabilizing(cfg.model)
     if not stab.is_stabilizing:
-        doc = {"stability": _report_json(asdict(stab))}
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
-        return EXIT_UNSTABLE
+        return _json({"stability": _report_json(asdict(stab))}), EXIT_UNSTABLE
 
     inputs = RateInputs(cfg.model, grid)
     report = decompose(inputs)
@@ -110,8 +84,7 @@ def cmd_analyze(args) -> int:
     }
     if args.integrands:
         export_integrands(inputs, args.integrands)
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
-    return EXIT_OK
+    return _json(doc), EXIT_OK
 
 
 def _parse_controller(spec_pair):
@@ -123,40 +96,33 @@ def _parse_controller(spec_pair):
     return _transfer(node, "--alt-controller")
 
 
-def cmd_verify(args) -> int:
-    if args.random is not None:
-        given = {"a config path": args.config is not None,
-                 "--alt-controller": args.alt_controller, "--bits": args.bits}
-        unread = [flag for flag, is_given in given.items() if is_given]
-        if unread:
-            raise ConfigError(f"verify --random does not read {', '.join(unread)}")
-        if args.random < 0:
-            raise ConfigError(f"--random needs a case count >= 0, got {args.random}")
-        grid = FrequencyGrid(args.grid) if args.grid is not None else FrequencyGrid()
-        cases = run_identity_suite(args.random, seed=args.seed or 0, grid=grid)
-        residuals = [abs(c.report.residual) for c in cases]
-        gaps = [c.proof_chain_gap for c in cases]
-        ok = sum(1 for r in residuals if r < RESIDUAL_LIMIT)
-        doc = {
-            "cases": len(cases),
-            "identities_pass": ok,
-            "max_residual": _r(max(residuals)) if residuals else 0.0,
-            "max_proof_chain_gap": _r(max(gaps)) if gaps else 0.0,
-            "passed": ok == len(cases),
-            "note": f"{ok}/{len(cases)} identities PASS"
-            + (" (0 cases: vacuous)" if not cases else ""),
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
-        return EXIT_OK if doc["passed"] else EXIT_TOLERANCE
+def _verify_random(args):
+    """verify --random N: the identity suite, which reads no config."""
+    given = {"a config path": args.config is not None,
+             "--alt-controller": args.alt_controller, "--bits": args.bits}
+    unread = [flag for flag, is_given in given.items() if is_given]
+    if unread:
+        raise ConfigError(f"verify --random does not read {', '.join(unread)}")
+    if args.random < 0:
+        raise ConfigError(f"--random needs a case count >= 0, got {args.random}")
+    grid = FrequencyGrid(args.grid) if args.grid is not None else FrequencyGrid()
+    cases = run_identity_suite(args.random, seed=args.seed or 0, grid=grid)
+    residuals = [abs(c.report.residual) for c in cases]
+    gaps = [c.proof_chain_gap for c in cases]
+    ok = sum(1 for r in residuals if r < RESIDUAL_LIMIT)
+    doc = {
+        "cases": len(cases),
+        "identities_pass": ok,
+        "max_residual": _r(max(residuals)) if residuals else 0.0,
+        "max_proof_chain_gap": _r(max(gaps)) if gaps else 0.0,
+        "passed": ok == len(cases),
+        "note": f"{ok}/{len(cases)} identities PASS"
+        + (" (0 cases: vacuous)" if not cases else ""),
+    }
+    return _json(doc), EXIT_OK if doc["passed"] else EXIT_TOLERANCE
 
-    if args.config is None:
-        raise ConfigError("verify needs a config path or --random N")
-    if args.seed is not None:
-        raise ConfigError("verify reads --seed only with --random")
-    cfg = load_config(args.config)
-    factor, units = _units(args, cfg.options)
-    grid = _grid(args, cfg.options)
 
+def cmd_verify(args, cfg, factor, units, grid):
     report = decompose(RateInputs(cfg.model, grid))
     controllers = [cfg.model.controller] + [
         _parse_controller(pair) for pair in (args.alt_controller or [])
@@ -170,23 +136,17 @@ def cmd_verify(args) -> int:
         "independence": _report_json(asdict(independence), factor),
         "grid_points": grid.n_points,
     }
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
     passed = doc["residual_pass"] and independence.passed
-    return EXIT_OK if passed else EXIT_TOLERANCE
+    return _json(doc), EXIT_OK if passed else EXIT_TOLERANCE
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    factor, units = _units(args, cfg.options)
-    grid = _grid(args, cfg.options)
+def cmd_simulate(args, cfg, factor, units, grid):
     seed = args.seed if args.seed is not None else cfg.options.seed
-
     sim = SimulationConfig(cfg.model, n_samples=cfg.options.n_samples, seed=seed)
     record = compare_report(sim, tolerance=args.tolerance, grid=grid)
 
     doc = {"units": units, **_report_json(asdict(record), factor)}
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
-    return EXIT_OK if record.passed else EXIT_TOLERANCE
+    return _json(doc), EXIT_OK if record.passed else EXIT_TOLERANCE
 
 
 def _parse_values(text: str):
@@ -206,12 +166,8 @@ def _parse_values(text: str):
     return [_number(x, f"--values[{i}]", json.dumps) for i, x in enumerate(items)]
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    factor, _ = _units(args, cfg.options)
-    grid = _grid(args, cfg.options)
+def cmd_sweep(args, cfg, factor, units, grid):
     values = _parse_values(args.values)
-
     lines = ["value,total,control,disturbance"]
     for val in values:
         if args.param == "sigma_v2":
@@ -226,8 +182,7 @@ def cmd_sweep(args) -> int:
             f"{report.control_term * factor:.12g},"
             f"{report.disturbance_term * factor:.12g}"
         )
-    _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
 def build_parser() -> _Parser:
@@ -282,12 +237,35 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _run(args):
+    """The subcommand's report text and exit code. Every mode but verify
+    --random reads a config, whose units and grid are worked out here."""
+    if args.command == "verify":
+        if args.random is not None:
+            return _verify_random(args)
+        if args.config is None:
+            raise ConfigError("verify needs a config path or --random N")
+        if args.seed is not None:
+            raise ConfigError("verify reads --seed only with --random")
+    cfg = load_config(args.config)
+    bits = args.bits or cfg.options.log_base == "bits"
+    factor, units = (1.0 / math.log(2.0), "bits/sample") if bits else (1.0, "nats/sample")
+    grid = FrequencyGrid(args.grid if args.grid is not None else cfg.options.grid_points)
+    return args.func(args, cfg, factor, units, grid)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (UnstableLoopError, DivergenceError, DegenerateLoopError) as exc:
+        text, code = _run(args)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
+    except (UnstableLoopError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
     except LoopInfoError as exc:

@@ -18,10 +18,9 @@ import numpy as np
 
 from .errors import (
     ConsistencyError,
-    DegenerateLoopError,
     InvalidInputError,
     SingularityError,
-    UnstableLoopError,
+    _check_int,
     _raise_at_sample,
 )
 from .lti import (
@@ -64,20 +63,14 @@ _INDEPENDENCE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class RateInputs:
-    """A stabilized loop plus the evaluation grid for all rate integrals."""
+    """A stabilized loop plus the evaluation grid for all rate integrals: its
+    construction requires the model's StabilityReport, and nothing after."""
 
     model: LoopModel
     grid: FrequencyGrid = field(default_factory=FrequencyGrid)
 
     def __post_init__(self):
-        report = is_stabilizing(self.model)
-        if report.degenerate:
-            raise DegenerateLoopError("1 - P*K*H is identically zero")
-        if not report.is_stabilizing:
-            raise UnstableLoopError(
-                "rate computation needs a stabilized loop",
-                poles=report.offending_poles,
-            )
+        is_stabilizing(self.model)._require("rate computation needs a stabilized loop")
 
 
 @dataclass(frozen=True)
@@ -325,7 +318,8 @@ def controller_independence_check(
     formed once, and warn as in decompose. Each controller forms |F_wy|^2 and
     |F_vy|^2, checked as in decompose, and their F-ratio mean, which must
     match the simplified mean within 1e-10. PASS iff the F-ratio means agree
-    within 1e-9. A non-stabilizing controller raises, naming its index.
+    within 1e-9. A controller whose StabilityReport is not stabilizing
+    raises UnstableLoopError, naming its index.
 
     As in decompose, each integrand is formed on the n/2 + 1 samples with
     omega in [-pi, 0] and mirrored, and each mean is over all n samples.
@@ -343,14 +337,10 @@ def controller_independence_check(
     terms = []
     for i, k in enumerate(alt_controllers):
         candidate = replace(model, controller=k)
-        try:
-            RateInputs(candidate, grid)
-        except (UnstableLoopError, DegenerateLoopError) as exc:
-            raise UnstableLoopError(
-                f"controller #{i} (num={k.num.coeffs}, den={k.den.coeffs}) "
-                "does not stabilize the loop",
-                poles=getattr(exc, "poles", ()),
-            ) from exc
+        is_stabilizing(candidate)._require(
+            f"controller #{i} (num={k.num.coeffs}, den={k.den.coeffs}) "
+            "does not stabilize the loop"
+        )
         fwy2, fvy2 = _closed_loop_gains(close_loop(candidate), grid)
         _reject_near_singular(_first_low("|f_wy|^2", fwy2[:m], omegas), omegas)
         _f_ratio_form(sw, sv, fwy2[:m], fvy2[:m], omegas, head)
@@ -463,8 +453,7 @@ def random_stabilized_loop(rng: np.random.Generator) -> LoopModel:
 def _check_seed(seed: int) -> None:
     """Seeds of the random suite and of the simulation are integers, Python's
     or numpy's but not bools, in [0, 2^64)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise InvalidInputError(f"seed must be an integer, got {seed!r}")
+    _check_int(seed, "seed")
     if not (0 <= int(seed) < 2**64):
         raise InvalidInputError(f"seed must fit in 64 bits, got {seed!r}")
 
@@ -484,6 +473,7 @@ def run_identity_suite(
 ) -> list[SuiteCase]:
     """Decompose n_cases random stabilized loops, cross-checking on each that
     the rate equals the entropy-rate difference h(Y) - h(W)."""
+    _check_int(n_cases, "n_cases")
     if n_cases < 0:
         raise InvalidInputError(f"n_cases must be >= 0, got {n_cases!r}")
     _check_seed(seed)

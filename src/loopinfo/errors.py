@@ -3,8 +3,12 @@
 Every failure mode the library reports deliberately maps onto one of these,
 so callers (and the CLI exit-code contract) can branch on class rather than
 on message text. A failure at one frequency-grid sample is located, worded
-and raised in one place, _raise_at_sample.
+and raised in one place, _raise_at_sample; every integer argument is checked
+by _check_int. UnstableLoopError follows from a LoopModel's one stability
+verdict, its StabilityReport, or from a hand-built ClosedLoop's two maps.
 """
+
+from numbers import Integral
 
 
 class LoopInfoError(Exception):
@@ -27,10 +31,6 @@ class _SampleError(LoopInfoError):
 
 class SingularityError(_SampleError):
     """A map or log integrand is (near-)singular on the unit circle. Carries the frequency."""
-
-
-class DegenerateLoopError(LoopInfoError):
-    """The return difference 1 - L is identically zero; the loop has no solution."""
 
 
 class UnstableLoopError(LoopInfoError):
@@ -92,3 +92,10 @@ def _raise_at_sample(error, what, omegas, at, values=None):
     err = error(f"{what}{shown} at omega={omega!r}")
     err.omega, err.value = omega, value
     raise err
+
+
+def _check_int(value, name: str) -> None:
+    """Raise InvalidInputError "<name> must be an integer, got <value>" unless
+    value is an integer, Python's or numpy's but not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")

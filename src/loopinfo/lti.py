@@ -19,9 +19,9 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     ConsistencyError,
-    DegenerateLoopError,
     InvalidInputError,
     SingularityError,
+    UnstableLoopError,
     _raise_at_sample,
 )
 
@@ -81,7 +81,14 @@ class Polynomial:
 
     @cached_property
     def _roots(self) -> tuple[complex, ...]:
-        return tuple(complex(r) for r in np.roots(self.coeffs)) if self.degree else ()
+        c = self.coeffs
+        lead = next((x for x in c if x != 0.0), 1.0)  # np.roots divides by it
+        try:
+            if all(math.isfinite(x / lead) for x in c):  # else np.roots warns, then fails
+                return tuple(complex(r) for r in np.roots(c)) if self.degree else ()
+        except np.linalg.LinAlgError:
+            pass
+        raise InvalidInputError(f"cannot compute the roots of {c}: too wide a coefficient range")
 
 
 def poly_roots(p: Polynomial) -> list[complex]:
@@ -330,8 +337,9 @@ class LoopModel:
     Positive-feedback convention: the return difference is 1 - P*K*H, so the
     usual negative-feedback loop is obtained by negating the controller. The
     loop gain must be strictly proper (at least one sample of delay around the
-    loop) for the sample-by-sample recursion to be well posed. Being immutable,
-    it forms its stability report and closed loop once, on first use.
+    loop) for the sample-by-sample recursion to be well posed. Its raw loop
+    gain is formed on construction; being immutable, it forms its stability
+    report and closed loop once, on first use.
     """
 
     plant: TransferFunction
@@ -353,11 +361,13 @@ class LoopModel:
                 "(at least one of P, K, H needs a leading zero numerator coefficient)"
             )
         object.__setattr__(self, "initial_state", tuple(float(x) for x in self.initial_state))
+        self._loop_gain_raw  # formed now: a product that overflows raises here
 
     @cached_property
     def _loop_gain_raw(self) -> tuple[Polynomial, Polynomial, Polynomial]:
         """Unreduced numerator and denominator of L = P*K*H, and the
-        unreduced return difference den_L - num_L."""
+        unreduced return difference den_L - num_L, never zero: num_L(0) = 0
+        and den_L(0), a product of normalized den(0), is 1 up to rounding."""
         num = self.plant.num * self.controller.num * self.feedback_filter.num
         den = self.plant.den * self.controller.den * self.feedback_filter.den
         return num, den, den - num
@@ -373,7 +383,9 @@ class LoopModel:
 
 @dataclass(frozen=True)
 class ClosedLoop:
-    """Closed-loop maps of a LoopModel; its poles and stability follow from f_wy.
+    """Closed-loop maps of a LoopModel: its poles are f_wy's, and it is stable
+    if neither map has an unstable pole. A LoopModel's verdict is instead its
+    StabilityReport, which also sees modes that cancellation hides.
 
     f_wy: channel noise w -> loop output y, equal to 1/(1 - L).
     f_vy: output disturbance v -> loop output y, equal to H/(1 - L).
@@ -389,7 +401,13 @@ class ClosedLoop:
 
     @property
     def is_stable(self) -> bool:
-        return not any(map(_unstable, self.closed_loop_poles))
+        return not self._unstable_poles
+
+    @property
+    def _unstable_poles(self) -> tuple[complex, ...]:
+        """The unstable poles of f_wy, then those of f_vy not already listed."""
+        wy = tuple(filter(_unstable, self.closed_loop_poles))
+        return wy + tuple(p for p in filter(_unstable, self.f_vy.poles()) if p not in wy)
 
 
 def close_loop(model: LoopModel) -> ClosedLoop:
@@ -399,8 +417,6 @@ def close_loop(model: LoopModel) -> ClosedLoop:
 
 def _form_closed_loop(model: LoopModel) -> ClosedLoop:
     _, den_l, char_raw = model._loop_gain_raw
-    if char_raw.is_zero:
-        raise DegenerateLoopError("1 - P*K*H is identically zero")
     # char_raw(0) = 1, so unless a cancellation rebuilds it, f_wy.den is
     # char_raw itself and shares its roots with the stability check
     f_wy = TransferFunction(den_l, char_raw)
@@ -415,7 +431,8 @@ def _form_closed_loop(model: LoopModel) -> ClosedLoop:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Outcome of the internal-stability check.
+    """Outcome of the internal-stability check: the one verdict on a
+    LoopModel, read by every rate computation through _require.
 
     closed_loop_poles come from the unreduced return difference, so modes
     hidden by pole/zero cancellation between the P, K, H factors still show
@@ -429,19 +446,22 @@ class StabilityReport:
     closed_loop_poles: tuple[complex, ...]
     offending_poles: tuple[complex, ...]
     unstable_cancellations: tuple[complex, ...]
-    degenerate: bool = False
+    degenerate: bool = False  # always False: 1 - L is never zero (see _loop_gain_raw)
+
+    def _require(self, message: str) -> None:
+        """Raise UnstableLoopError(message, offending poles) unless stabilizing."""
+        if not self.is_stabilizing:
+            raise UnstableLoopError(message, poles=self.offending_poles)
 
 
 def is_stabilizing(model: LoopModel) -> StabilityReport:
-    """Check internal stability of the loop, once per model; never raises."""
+    """Check internal stability of the loop, once per model; never raises, as
+    the model's construction formed the polynomials it reads."""
     return model._stability
 
 
 def _check_stability(model: LoopModel) -> StabilityReport:
     num_l, den_l, char_raw = model._loop_gain_raw
-    if char_raw.is_zero:
-        return StabilityReport(False, (), (), (), degenerate=True)
-
     # delay excess around the loop shows up as z-plane poles at the origin
     loop_order = max(num_l.degree if not num_l.is_zero else 0, den_l.degree)
     origin = loop_order - char_raw.degree

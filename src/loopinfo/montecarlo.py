@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidInputError
+from .errors import DivergenceError, InvalidInputError, _check_int
 from .lti import TF_ONE, LoopModel, TransferFunction
 from .spectral import (
     FrequencyGrid,
@@ -62,6 +62,8 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_int(self.n_samples, "n_samples")
+        _check_int(self.burn_in, "burn_in")
         if not (self.n_samples > self.burn_in >= 0):
             raise InvalidInputError(
                 f"need n_samples > burn_in >= 0, got {self.n_samples}, {self.burn_in}"

@@ -22,6 +22,7 @@ from .errors import (
     LogDomainError,
     SingularityError,
     UnstableLoopError,
+    _check_int,
     _raise_at_sample,
 )
 from .lti import (
@@ -51,6 +52,7 @@ class FrequencyGrid:
 
     def __post_init__(self):
         n = self.n_points
+        _check_int(n, "grid size")
         if n < 64 or (n & (n - 1)) != 0:
             raise InvalidInputError(
                 f"grid size must be a power of two >= 64, got {n}"
@@ -224,22 +226,23 @@ def _mirror(out: np.ndarray) -> np.ndarray:
 def output_psd(
     cl: ClosedLoop, sw: SpectrumSamples, sv: SpectrumSamples
 ) -> SpectrumSamples:
-    """Loop-output PSD: |F_wy|^2 * S_W + |F_vy|^2 * S_V."""
+    """Loop-output PSD: |F_wy|^2 * S_W + |F_vy|^2 * S_V; an unstable pole of
+    either map raises UnstableLoopError, naming it (see ClosedLoop.is_stable)."""
     if sw.grid != sv.grid:
         raise InvalidInputError(
             f"mismatched grids: {sw.grid.n_points} vs {sv.grid.n_points} points"
+        )
+    if not cl.is_stable:
+        raise UnstableLoopError(
+            "output PSD is defined only for a stable loop", poles=cl._unstable_poles
         )
     fwy, fvy = _closed_loop_gains(cl, sw.grid)
     return _owned(SpectrumSamples, sw.grid, fwy * sw.values + fvy * sv.values)
 
 
 def _closed_loop_gains(cl: ClosedLoop, grid: FrequencyGrid):
-    """|F_wy|^2 and |F_vy|^2 on the grid; F_vy equals F_wy when H = 1."""
-    if not cl.is_stable:
-        raise UnstableLoopError(
-            "output PSD is defined only for a stable loop",
-            poles=list(filter(_unstable, cl.closed_loop_poles)),
-        )
+    """|F_wy|^2 and |F_vy|^2 on the grid, stability checked by the caller;
+    F_vy equals F_wy when H = 1."""
     fwy = squared_gain(cl.f_wy, grid)
     fvy = fwy if cl.f_vy == cl.f_wy else squared_gain(cl.f_vy, grid)
     return fwy, fvy
@@ -255,7 +258,7 @@ class LoopSpectra:
     |F_wy|^2 and |F_vy|^2. Every quantity the rate, its split and the entropy
     route need is formed from these arrays, elementwise, so it is formed on
     the first n/2 + 1 samples and mirrored (see _mirror): sy here, the
-    integrands in the decomposition.
+    integrands in the decomposition. The caller has checked stability.
     """
 
     sw: SpectrumSamples

@@ -117,6 +117,28 @@ def test_analyze_vanishing_shaping_filter_names_a_float_omega(tmp_path):
     assert "np." not in res.stderr
 
 
+@pytest.mark.parametrize(
+    "plant, controller, message",
+    [
+        # the roots of 1e-300 + 1e300 d overflow the eigensolver's matrix
+        ({"num": [0.0, 1.0], "den": [1e-300, 1e300]}, {"num": [-2.0]},
+         "config.plant: cannot compute the roots"),
+        # the loop gain's coefficient 1e400 is not a float
+        ({"num": [0.0, 1e200]}, {"num": [1e200]},
+         "config: non-finite polynomial coefficients"),
+    ],
+)
+def test_analyze_coefficients_out_of_float_range_exit_1(tmp_path, plant, controller,
+                                                        message):
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({"plant": plant, "controller": controller}))
+    res = run_cli("analyze", str(cfg))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: {message}")
+    assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+
+
 def test_analyze_missing_file_exits_1(tmp_path):
     res = run_cli("analyze", str(tmp_path / "absent.json"))
     assert res.returncode == 1

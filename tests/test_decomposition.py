@@ -38,7 +38,7 @@ from loopinfo import (
     white,
     white_noise_disturbance_term,
 )
-from loopinfo import decomposition, spectral
+from loopinfo import decomposition, lti, spectral
 from loopinfo.decomposition import _disturbance_term_exact
 from loopinfo.lti import TF_ONE, TF_ZERO
 
@@ -304,6 +304,39 @@ def test_independence_check_evaluates_sources_once(monkeypatch):
     ):
         assert _times_evaluated(calls, f) == 1
     assert len(calls) == 3 + 2 * len(controllers)  # F_wy and F_vy per controller
+
+
+def test_rate_computations_read_only_the_stability_report(monkeypatch):
+    """decompose, export_integrands and a four-controller independence check
+    take stability from the model's StabilityReport alone: no
+    ClosedLoop.is_stable call, and no RateInputs built per controller."""
+    model = colored_dynamic_h_model()
+    controllers = [
+        placed_controller(targets)
+        for targets in ([0.1, 0.2, -0.3], [0.0, 0.4, 0.5], [-0.2, 0.3j, -0.3j],
+                        [0.3, -0.1, 0.2])
+    ]
+    grid = FrequencyGrid(512)
+    inputs = RateInputs(model, grid)
+    calls = []
+    is_stable = lti.ClosedLoop.is_stable.fget
+    post_init = decomposition.RateInputs.__post_init__
+
+    def counted_is_stable(cl):
+        calls.append("ClosedLoop.is_stable")
+        return is_stable(cl)
+
+    def counted_post_init(self):
+        calls.append("RateInputs")
+        post_init(self)
+
+    monkeypatch.setattr(lti.ClosedLoop, "is_stable", property(counted_is_stable))
+    monkeypatch.setattr(decomposition.RateInputs, "__post_init__", counted_post_init)
+    decompose(inputs)
+    export_integrands(inputs, io.StringIO())
+    report = controller_independence_check(model, controllers, grid)
+    assert len(report.disturbance_terms) == 4 and report.passed
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [4096, 65536])
@@ -686,6 +719,19 @@ def test_identity_suite_invariants():
         if full != plant_only:
             saw_unstable_controller = True
     assert saw_unstable_controller
+
+
+@pytest.mark.parametrize("n_cases", [2.5, 2.0, True, "3"])
+def test_identity_suite_count_must_be_an_integer(n_cases):
+    with pytest.raises(InvalidInputError, match="n_cases must be an integer"):
+        run_identity_suite(n_cases)
+
+
+def test_identity_suite_models_get_a_verdict_afresh():
+    """A model built again from a suite loop's parts forms its stability
+    report anew, without an exception, and it is stabilizing."""
+    for case in run_identity_suite(50):
+        assert is_stabilizing(replace(case.model)).is_stabilizing
 
 
 def test_identity_suite_rejects_a_negative_count():

@@ -90,6 +90,14 @@ def test_poly_roots_constant_and_nonfinite():
 # TransferFunction construction and reduction
 
 
+def test_roots_whose_coefficient_ratio_overflows_are_an_input_error():
+    # the companion matrix would hold 1e300 / 1e-300
+    with pytest.raises(InvalidInputError, match="too wide a coefficient range"):
+        poly_roots(Polynomial([1e-300, 1e300]))
+    with pytest.raises(InvalidInputError, match="too wide a coefficient range"):
+        tf([1.0], [1e-300, 1e300])
+
+
 def test_tf_normalizes_denominator_constant():
     t = tf([1.0], [2.0, 1.0])
     assert t.den.coeffs[0] == 1.0
@@ -284,6 +292,38 @@ def test_singular_denominator_on_grid_omegas_names_the_sample_as_a_copy():
 def test_loop_model_requires_strictly_proper_gain():
     with pytest.raises(InvalidInputError):
         LoopModel(TF_ONE, TF_ONE, TF_ONE, white(1.0), white(1.0))
+
+
+def test_loop_gain_that_overflows_is_rejected_where_it_is_built():
+    # P*K has the coefficient 1e400
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        LoopModel(tf([0.0, 1e200]), tf([1e200]), TF_ONE, white(1.0), white(1.0))
+
+
+def test_every_loop_that_builds_gets_a_verdict():
+    """Factors with coefficient magnitudes from 1e-320 to 1e150: building a
+    LoopModel either fails with InvalidInputError or gives a model on which
+    is_stabilizing answers, and no return difference is zero."""
+    rng = np.random.default_rng(0)
+
+    def coeffs(count, delayed=False):
+        c = [float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-320, 150))
+             for _ in range(count)]
+        return [0.0] + c if delayed else c
+
+    built = 0
+    for _ in range(600):
+        try:
+            factors = [tf(coeffs(rng.integers(1, 3), delayed=i == 0),
+                          coeffs(rng.integers(1, 4))) for i in range(3)]
+            model = LoopModel(*factors, white(1.0), white(1.0))
+        except InvalidInputError:
+            continue
+        built += 1
+        report = is_stabilizing(model)
+        assert not report.degenerate
+        assert len(report.closed_loop_poles) >= len(report.offending_poles)
+    assert built > 200
 
 
 def test_close_loop_worked_example(worked_model):

@@ -54,6 +54,16 @@ def test_simulation_config_validation():
         SimulationConfig(open_loop(), seed=2**64)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_samples", 8192.0), ("n_samples", True), ("n_samples", np.float64(8192.0)),
+     ("burn_in", 1.5), ("burn_in", 0.0), ("burn_in", False)],
+)
+def test_simulation_config_counts_must_be_integers(field, value):
+    with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+        SimulationConfig(open_loop(), **{field: value})
+
+
 @pytest.mark.parametrize("seed", [1.5, 2.0, True, np.float64(3.0), "3"])
 def test_simulation_config_rejects_a_seed_that_is_not_an_integer(seed):
     with pytest.raises(InvalidInputError, match="seed must be an integer"):

@@ -57,6 +57,16 @@ def test_grid_rejects_non_power_of_two():
             FrequencyGrid(bad)
 
 
+@pytest.mark.parametrize("bad", [4096.0, np.float64(4096.0), 2.5, True, "4096"])
+def test_grid_size_must_be_an_integer(bad):
+    with pytest.raises(InvalidInputError, match="grid size must be an integer"):
+        FrequencyGrid(bad)
+
+
+def test_grid_takes_a_numpy_integer_size():
+    assert np.array_equal(FrequencyGrid(np.int64(128)).omegas, FrequencyGrid(128).omegas)
+
+
 def test_grid_omegas_read_only_and_doubled():
     g = FrequencyGrid(64)
     with pytest.raises(ValueError):
@@ -285,6 +295,17 @@ def test_hand_built_closed_loop_takes_its_stability_from_f_wy():
     f = tf([1.0], [1.0, -2.0])  # a pole at z = 2
     cl = ClosedLoop(f, f)
     assert cl.closed_loop_poles == (2 + 0j,) and not cl.is_stable
+    with pytest.raises(UnstableLoopError) as info:
+        output_psd(cl, noise_psd(white(1.0), g), noise_psd(white(1.0), g))
+    assert info.value.poles == (2 + 0j,)
+
+
+def test_hand_built_closed_loop_is_judged_on_f_vy_too():
+    """A stable f_wy does not make the pair stable: is_stable and output_psd
+    also read the poles of f_vy, while closed_loop_poles stay f_wy's."""
+    g = FrequencyGrid(64)
+    cl = ClosedLoop(tf([1.0]), tf([1.0], [1.0, -2.0]))
+    assert cl.closed_loop_poles == () and not cl.is_stable
     with pytest.raises(UnstableLoopError) as info:
         output_psd(cl, noise_psd(white(1.0), g), noise_psd(white(1.0), g))
     assert info.value.poles == (2 + 0j,)
