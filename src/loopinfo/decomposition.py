@@ -118,7 +118,7 @@ def _integrands(spectra: LoopSpectra, take) -> tuple[tuple, int | None]:
     integrand is formed on the n/2 + 1 samples with omega in [-pi, 0] and
     mirrored: take gets the n samples a full-grid pass would form, bit for
     bit. The sensitivity ratio gets sensitivity_ratio's checks, and every
-    check names the omega a full-grid check would (see _even_power).
+    check names the omega a full-grid check would (see squared_gain).
     """
     grid = spectra.sw.grid
     omegas, m = grid.omegas, grid.n_points // 2 + 1
@@ -175,7 +175,7 @@ def _f_ratio_form(sw, sv, fwy2, fvy2, omegas, out: np.ndarray) -> np.ndarray:
 
 
 def _require_forms_agree(simplified: float, f_ratio: float) -> None:
-    if abs(simplified - f_ratio) > CROSS_CHECK_TOL:
+    if not abs(simplified - f_ratio) <= CROSS_CHECK_TOL:  # a NaN gap raises too
         raise ConsistencyError(
             f"the two disturbance-integrand forms disagree: {simplified!r} vs {f_ratio!r}"
         )
@@ -316,38 +316,43 @@ def controller_independence_check(
 
     S_W, S_V, |H|^2 and the simplified mean hold no controller: they are
     formed once, and warn as in decompose. Each controller forms |F_wy|^2 and
-    |F_vy|^2, checked as in decompose, and their F-ratio mean, which must
-    match the simplified mean within 1e-10. PASS iff the F-ratio means agree
-    within 1e-9. A controller whose StabilityReport is not stabilizing
-    raises UnstableLoopError, naming its index.
+    |F_vy|^2, checked as in decompose (a non-finite sample raises
+    InvalidInputError), and their F-ratio mean, which must match the
+    simplified mean within 1e-10. PASS iff the F-ratio means agree within
+    1e-9. A controller whose StabilityReport is not stabilizing raises
+    UnstableLoopError, naming its index.
 
     As in decompose, each integrand is formed on the n/2 + 1 samples with
     omega in [-pi, 0] and mirrored, and each mean is over all n samples.
     """
     grid = grid or FrequencyGrid()
     omegas, m = grid.omegas, grid.n_points // 2 + 1
-    sw = _divisor(noise_psd(model.channel_noise, grid).values[:m], omegas)
-    sv = noise_psd(model.output_disturbance, grid).values[:m]
-    scratch = squared_gain(model.feedback_filter, grid)
-    head = scratch[:m]
-    _simplified_form(sw, sv, head, head)
-    simplified = _mean(_mirror(scratch))
-    _warn_if_off_exact(abs(simplified - _disturbance_term_exact(model)), grid, stacklevel=2)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gain raises below
+        sw = _divisor(noise_psd(model.channel_noise, grid).values[:m], omegas)
+        sv = noise_psd(model.output_disturbance, grid).values[:m]
+        scratch = squared_gain(model.feedback_filter, grid)
+        head = scratch[:m]
+        _simplified_form(sw, sv, head, head)
+        simplified = _mean(_mirror(scratch))
+        _warn_if_off_exact(abs(simplified - _disturbance_term_exact(model)), grid, stacklevel=2)
 
-    terms = []
-    for i, k in enumerate(alt_controllers):
-        candidate = replace(model, controller=k)
-        is_stabilizing(candidate)._require(
-            f"controller #{i} (num={k.num.coeffs}, den={k.den.coeffs}) "
-            "does not stabilize the loop"
-        )
-        fwy2, fvy2 = _closed_loop_gains(close_loop(candidate), grid)
-        _reject_near_singular(_first_low("|f_wy|^2", fwy2[:m], omegas), omegas)
-        _f_ratio_form(sw, sv, fwy2[:m], fvy2[:m], omegas, head)
-        del fwy2, fvy2  # freed before the next controller's are formed
-        term = _mean(_mirror(scratch))
-        _require_forms_agree(simplified, term)
-        terms.append(term)
+        terms = []
+        for i, k in enumerate(alt_controllers):
+            candidate = replace(model, controller=k)
+            is_stabilizing(candidate)._require(
+                f"controller #{i} (num={k.num.coeffs}, den={k.den.coeffs}) "
+                "does not stabilize the loop"
+            )
+            fwy2, fvy2 = _closed_loop_gains(close_loop(candidate), grid)
+            # max carries NaN; F_vy is F_wy when H = 1
+            if not (fwy2[:m].max() < np.inf and (fvy2 is fwy2 or fvy2[:m].max() < np.inf)):
+                raise InvalidInputError(f"controller #{i}: |f_wy|^2 or |f_vy|^2 is not finite")
+            _reject_near_singular(_first_low("|f_wy|^2", fwy2[:m], omegas), omegas)
+            _f_ratio_form(sw, sv, fwy2[:m], fvy2[:m], omegas, head)
+            del fwy2, fvy2  # freed before the next controller's are formed
+            term = _mean(_mirror(scratch))
+            _require_forms_agree(simplified, term)
+            terms.append(term)
     deviation = max(terms) - min(terms) if terms else 0.0
     return IndependenceReport(
         disturbance_terms=tuple(terms),

@@ -411,7 +411,12 @@ class ClosedLoop:
 
 
 def close_loop(model: LoopModel) -> ClosedLoop:
-    """The closed-loop transfer functions, formed once per model."""
+    """The closed-loop transfer functions, formed once per model.
+
+    F_vy's numerator H.num * P.den * K.den is not part of the loop gain
+    formed when the model is built, so it can exceed the float range on a
+    model that is_stabilizing answers: that raises InvalidInputError here.
+    """
     return model._closed_loop
 
 
@@ -424,7 +429,13 @@ def _form_closed_loop(model: LoopModel) -> ClosedLoop:
     # H * f_wy would cancel H's poles against f_wy's numerator and rebuild
     # both polynomials from computed roots, perturbing |f_vy| by ~1e-9.
     # With H = 1 that numerator is den_L and f_vy is f_wy.
-    num_vy = model.feedback_filter.num * model.plant.den * model.controller.den
+    try:
+        num_vy = model.feedback_filter.num * model.plant.den * model.controller.den
+    except InvalidInputError as err:
+        raise InvalidInputError(
+            "the closed loop of this model exceeds the float range: "
+            f"F_vy's numerator H.num * P.den * K.den overflows ({err})"
+        ) from err
     f_vy = f_wy if num_vy == den_l else TransferFunction(num_vy, char_raw)
     return ClosedLoop(f_wy, f_vy)
 

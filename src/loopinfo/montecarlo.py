@@ -373,7 +373,9 @@ def simulate_loop(cfg: SimulationConfig) -> TrajectorySet:
             # below
             for name, s in (("w", w_sig), ("v", v_sig)):
                 if np.any(np.abs(s) > limit):
-                    raise DivergenceError(f"noise signal {name} diverged during shaping")
+                    raise DivergenceError(
+                        f"noise source {name} exceeded the {limit:g} divergence guard"
+                    )
             bad = ~((np.abs(y_out) <= limit) & (np.abs(u_out) <= limit))
             if bad.any():
                 t = int(np.argmax(bad))

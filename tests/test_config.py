@@ -75,6 +75,8 @@ def test_parse_full_schema():
             "config.channel_noise.shaping",
         ),
         (lambda d: d["plant"].update(den=[0.0, 1.0]), "config.plant"),
+        (lambda d: d.update(plant=[0.0, 1.0]), "config.plant: expected an object, got list"),
+        (lambda d: d["plant"].pop("num"), "config.plant.num: missing"),
         # integers that no float can hold, named without their digits
         (lambda d: d["plant"].update(num=[0.0, HUGE]),
          "config.plant.num[1]: integer too large for a float"),

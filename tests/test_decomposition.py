@@ -671,6 +671,40 @@ def test_independence_check_sees_no_stale_stability_report(worked_model):
     assert is_stabilizing(replace(worked_model, controller=tf([0.1]))).offending_poles
 
 
+
+def test_non_finite_closed_loop_gain_raises_on_both_routes():
+    """K = 1e160/(1 + 1e160 d) stabilizes P = d (the return difference is 1),
+    but |F_wy|^2 overflows on the circle. decompose and the independence check
+    both raise InvalidInputError, and neither leaks numpy's warnings."""
+    k = tf([1e160], [1.0, 1e160])
+    model = LoopModel(tf([0.0, 1.0]), k, TF_ONE, white(1.0), white(1.0))
+    assert is_stabilizing(model).closed_loop_poles == (0j,)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            decompose(RateInputs(model))
+        with pytest.raises(InvalidInputError, match="controller #0"):
+            controller_independence_check(model, [k, k])
+
+
+@pytest.mark.parametrize("route", ["decompose", "independence"])
+def test_disagreeing_disturbance_forms_raise(monkeypatch, worked_model, route):
+    """An F-ratio form 2e-10 off the simplified one fails the 1e-10 cross-check."""
+    real = decomposition._f_ratio_form
+
+    def off(*args):
+        out = real(*args)
+        out += 2e-10
+        return out
+
+    monkeypatch.setattr(decomposition, "_f_ratio_form", off)
+    with pytest.raises(ConsistencyError, match="disturbance-integrand forms disagree"):
+        if route == "decompose":
+            decompose(RateInputs(worked_model, FrequencyGrid(256)))
+        else:
+            controller_independence_check(worked_model, [tf([-2.0])], FrequencyGrid(256))
+
+
 # ---------------------------------------------------------------------------
 # integrand export
 

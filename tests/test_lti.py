@@ -300,6 +300,17 @@ def test_loop_gain_that_overflows_is_rejected_where_it_is_built():
         LoopModel(tf([0.0, 1e200]), tf([1e200]), TF_ONE, white(1.0), white(1.0))
 
 
+
+def test_closed_loop_that_overflows_says_so():
+    """L = P*K*H builds, and is_stabilizing answers, but F_vy's numerator
+    H.num * P.den * K.den holds 1e200 * 1e150: close_loop names the overflow."""
+    model = LoopModel(
+        tf([0.0, 1e-200], [1.0, 1e150]), TF_ONE, tf([1.0, 1e200]), white(1.0), white(1.0)
+    )
+    assert not is_stabilizing(model).is_stabilizing
+    with pytest.raises(InvalidInputError, match="exceeds the float range"):
+        close_loop(model)
+
 def test_every_loop_that_builds_gets_a_verdict():
     """Factors with coefficient magnitudes from 1e-320 to 1e150: building a
     LoopModel either fails with InvalidInputError or gives a model on which

@@ -197,6 +197,19 @@ def test_divergence_raises_with_index():
     assert err.value.index < 200  # pole at 1.9 blows past 1e12 within ~50 steps
 
 
+
+@pytest.mark.parametrize(
+    "w, v, name",
+    [
+        (white(1e30), white(1.0), "w"),
+        (white(1.0), colored(1e30, tf([1.0], [1.0, -0.5])), "v"),
+    ],
+)
+def test_source_beyond_the_guard_raises(w, v, name):
+    m = LoopModel(tf([0.0, 1.0], [1.0, -2.0]), tf([-2.0]), TF_ONE, w, v)
+    with pytest.raises(DivergenceError, match=f"noise source {name} exceeded the 1e\\+12"):
+        simulate_loop(SimulationConfig(m, n_samples=2**13, seed=0))
+
 # ---------------------------------------------------------------------------
 # the block runner against the per-sample recursion
 

@@ -214,6 +214,20 @@ def test_colored_psd_rejects_circle_zero_denominator():
         noise_psd(colored(1.0, tf([1.0], [1.0, -1.0])), g)
 
 
+
+def test_shaping_zero_on_the_circle_raises_for_a_silent_source_too():
+    """The filter is checked before the variance scales it: 1 + d vanishes at
+    omega = -pi whatever the variance."""
+    with pytest.raises(SingularityError, match="shaping filter vanishes") as exc:
+        noise_psd(colored(0.0, tf([1.0, 1.0])), FrequencyGrid(64))
+    assert exc.value.omega == -np.pi
+
+
+def test_shaping_gain_just_above_the_floor_is_accepted():
+    """|1 + c d| at omega = -pi is 1 - c = 2e-9, so |G|^2 = 4e-18 clears 1e-18."""
+    s = noise_psd(colored(0.5, tf([1.0, 1.0 - 2e-9])), FrequencyGrid(64))
+    assert s.values[0] == pytest.approx(2e-18, rel=1e-6)
+
 def _even_test_model():
     """Dynamic H and colored noise on both sources: every spectrum evaluated."""
     plant, h = tf([0.0, 1.0], [1.0, -2.0]), tf([1.0, 0.5], [1.0, -0.3])
@@ -331,6 +345,13 @@ def test_sensitivity_ratio_rejects_zero_reference():
     with pytest.raises(DivisionDomainError):
         sensitivity_ratio(a, zeros)
 
+
+
+def test_sensitivity_ratio_rejects_mismatched_grids():
+    a = SpectrumSamples(FrequencyGrid(64), np.ones(64))
+    b = SpectrumSamples(FrequencyGrid(128), np.ones(128))
+    with pytest.raises(InvalidInputError, match="mismatched grids: 64 vs 128"):
+        sensitivity_ratio(a, b)
 
 def test_log_integral_of_constant():
     g = FrequencyGrid(64)
