@@ -40,7 +40,6 @@ from .spectral import (
     LoopSpectra,
     NoiseSpec,
     SpectrumSamples,
-    _check_psd_values,
     _closed_loop_gains,
     _divisor,
     _first_low,
@@ -59,6 +58,8 @@ CROSS_CHECK_TOL = 1e-10
 # The disturbance terms of one loop under several controllers must agree
 # this closely.
 _INDEPENDENCE_TOL = 1e-9
+# Both routes' error when S_Y/S_W, or its part |H|^2 S_V/S_W, overflows.
+_RATIO_OVERFLOW = "the sensitivity ratio S_Y/S_W exceeds the float range"
 
 
 @dataclass(frozen=True)
@@ -117,8 +118,9 @@ def _integrands(spectra: LoopSpectra, take) -> tuple[tuple, int | None]:
     The spectra are exactly even, and each step is elementwise, so each
     integrand is formed on the n/2 + 1 samples with omega in [-pi, 0] and
     mirrored: take gets the n samples a full-grid pass would form, bit for
-    bit. The sensitivity ratio gets sensitivity_ratio's checks, and every
-    check names the omega a full-grid check would (see squared_gain).
+    bit. The sensitivity ratio gets sensitivity_ratio's divisor check, an
+    overflowed ratio raises InvalidInputError naming it, and every check
+    names the omega a full-grid check would (see squared_gain).
     """
     grid = spectra.sw.grid
     omegas, m = grid.omegas, grid.n_points // 2 + 1
@@ -126,9 +128,11 @@ def _integrands(spectra: LoopSpectra, take) -> tuple[tuple, int | None]:
         a[:m] for a in (spectra.sw.values, spectra.sv.values, spectra.h2,
                         spectra.fwy2, spectra.fvy2)
     )
-    ratio = np.divide(spectra.sy.values[:m], _divisor(sw, omegas))
+    with np.errstate(over="ignore"):  # S_Y and S_W are finite, S_W > 1e-300
+        ratio = np.divide(spectra.sy.values[:m], _divisor(sw, omegas))
+    if not ratio.max() < np.inf:
+        raise InvalidInputError(_RATIO_OVERFLOW)
     np.sqrt(ratio, out=ratio)
-    _check_psd_values(ratio, omegas)
     scratch = np.empty(grid.n_points)
     head = np.square(ratio, out=scratch[:m])
 
@@ -315,12 +319,13 @@ def controller_independence_check(
     """Recompute the disturbance term with each controller swapped in.
 
     S_W, S_V, |H|^2 and the simplified mean hold no controller: they are
-    formed once, and warn as in decompose. Each controller forms |F_wy|^2 and
-    |F_vy|^2, checked as in decompose (a non-finite sample raises
-    InvalidInputError), and their F-ratio mean, which must match the
-    simplified mean within 1e-10. PASS iff the F-ratio means agree within
-    1e-9. A controller whose StabilityReport is not stabilizing raises
-    UnstableLoopError, naming its index.
+    formed once, and warn as in decompose; a mean that is not finite raises
+    decompose's InvalidInputError for an overflowed S_Y/S_W. Each controller
+    forms |F_wy|^2 and |F_vy|^2, checked as in decompose (a non-finite
+    sample raises InvalidInputError), and their F-ratio mean, which must
+    match the simplified mean within 1e-10. PASS iff the F-ratio means agree
+    within 1e-9. A controller whose StabilityReport is not stabilizing
+    raises UnstableLoopError, naming its index.
 
     As in decompose, each integrand is formed on the n/2 + 1 samples with
     omega in [-pi, 0] and mirrored, and each mean is over all n samples.
@@ -334,6 +339,8 @@ def controller_independence_check(
         head = scratch[:m]
         _simplified_form(sw, sv, head, head)
         simplified = _mean(_mirror(scratch))
+        if not math.isfinite(simplified):
+            raise InvalidInputError(_RATIO_OVERFLOW)
         _warn_if_off_exact(abs(simplified - _disturbance_term_exact(model)), grid, stacklevel=2)
 
         terms = []

@@ -228,29 +228,27 @@ def freq_response_array(tf_: TransferFunction, omegas: np.ndarray) -> np.ndarray
     the temporaries it avoids).
 
     A grid's own frequencies, the read-only array FrequencyGrid.omegas
-    returns, are evaluated at that grid's cached points e^{-j omega}; any
-    other array gets its points computed, with the same bits.
+    returns, are evaluated at that grid's cached points e^{-j omega}, only
+    the n/2 + 1 with omega <= 0: sample n - k, at -omega_k, is the conjugate
+    of sample k (a static gain is one quotient). Any other array gets its
+    points computed and all evaluated, with the same bits.
     """
     omegas = np.asarray(omegas, dtype=float)
-    return unit_circle_response(tf_, _points_at(omegas), omegas)
-
-
-def _points_at(omegas: np.ndarray) -> np.ndarray:
-    """e^{-j omega} for omegas: the cached points when omegas is the array
-    _omegas(n) holds, else a new array. A writeable array, a view or a size
-    no grid has goes straight to _unit_circle_points, leaving the caches
-    untouched. The cached points are only read: unit_circle_response writes
-    into arrays of its own."""
-    n = omegas.size
-    if (
-        not omegas.flags.writeable
-        and omegas.base is None
-        and n >= 64
-        and n & (n - 1) == 0
-        and omegas is _omegas(n)
-    ):
-        return _unit_circle(n)
-    return _unit_circle_points(omegas)
+    n, m = omegas.size, omegas.size // 2 + 1
+    # the cached points are only read; a writeable array, a view or a size
+    # no grid has leaves the caches untouched
+    if (omegas.flags.writeable or omegas.base is not None or n < 64
+            or n & (n - 1) or omegas is not _omegas(n)):
+        return unit_circle_response(tf_, _unit_circle_points(omegas), omegas)
+    if tf_.num.degree == 0 and tf_.den.degree == 0:
+        # conjugating would turn the quotient's +0j into -0j
+        q = np.full(1, complex(tf_.num.coeffs[0]))
+        return np.full(n, np.divide(q, complex(tf_.den.coeffs[0]), out=q)[0])
+    head = unit_circle_response(tf_, _unit_circle(n)[:m], omegas[:m])
+    out = np.empty(n, dtype=complex)
+    out[:m] = head
+    np.conjugate(head[m - 2 : 0 : -1], out=out[m:])
+    return out
 
 
 def _unit_circle_points(omegas: np.ndarray) -> np.ndarray:
@@ -273,9 +271,14 @@ def _unit_circle_points(omegas: np.ndarray) -> np.ndarray:
 # used; spectral.FrequencyGrid hands them out.
 @lru_cache(maxsize=6)
 def _omegas(n: int) -> np.ndarray:
-    # 2*pi*k/n is exact up to one rounding that a power-of-two n does not
-    # change, so omegas(2n)[::2] == omegas(n) bit for bit.
-    w = -np.pi + 2.0 * np.pi * np.arange(n) / n
+    # -pi + 2*pi*k/n for the n/2 + 1 samples in [-pi, 0], exact up to one
+    # rounding that a power-of-two n does not change, so omegas(2n)[::2] ==
+    # omegas(n) bit for bit; their exact negatives in (0, pi), so the points
+    # e^{-j omega} there are exact conjugates (numpy's cos is even, sin odd).
+    m = n // 2 + 1
+    w = np.empty(n)
+    w[:m] = -np.pi + 2.0 * np.pi * np.arange(m) / n
+    np.negative(w[m - 2 : 0 : -1], out=w[m:])
     w.flags.writeable = False
     return w
 

@@ -402,9 +402,10 @@ def welch_psd(x, grid: FrequencyGrid | None = None) -> SpectrumSamples:
     Normalized so the grid mean of the estimate equals the sample variance
     for white input. The bins are mirrored exactly, and on a grid of at most
     _SEGMENT points every sample is a bin, so the estimate is exactly even.
-    A finer grid's samples are interpolated between bins, and its omegas are
-    not all exact negatives of their mirrors, so there the estimate is even
-    to rounding: about 1e-13 relative, well inside SpectrumSamples' 1e-9.
+    A finer grid's samples are interpolated between bins, and np.interp's
+    periodic reduction shifts each negative omega and bin by 2 pi, with a
+    rounding, so there the estimate is even to rounding: about 1e-13
+    relative, well inside SpectrumSamples' 1e-9.
     """
     grid = grid or FrequencyGrid()
     x = np.asarray(x, dtype=float)

@@ -60,8 +60,9 @@ class FrequencyGrid:
 
     @property
     def omegas(self) -> np.ndarray:
-        """The n frequencies -pi + 2 pi k / n, read-only and cached per size;
-        freq_response_array evaluates this very array at unit_circle."""
+        """The n frequencies -pi + 2 pi k / n, read-only and cached per size,
+        with omegas[n - k] == -omegas[k] exactly; freq_response_array
+        evaluates this very array at unit_circle, n/2 + 1 points of it."""
         return _omegas(self.n_points)
 
     @property
@@ -93,7 +94,9 @@ class SpectrumSamples:
     The values are checked in order: finite, nonnegative, then even, sample k
     matching its mirror n - k within 1e-300 + 1e-9 times the mirror. An
     exactly even spectrum, as every library spectrum on an analytic path is,
-    passes the last check in one comparison.
+    passes the last check in one comparison, and the first two on its first
+    n/2 + 1 samples; output_psd, sensitivity_ratio and log_integral then
+    form their samples on that half too (see _elementwise).
     """
 
     grid: FrequencyGrid
@@ -107,9 +110,12 @@ class SpectrumSamples:
             raise InvalidInputError(
                 f"expected {grid.n_points} samples, got shape {v.shape}"
             )
-        _check_psd_values(v, grid.omegas)
         tail, mirror = v[1:], v[:0:-1]  # sample 0 is its own mirror
-        if not np.array_equal(tail, mirror):
+        even = np.array_equal(tail, mirror)
+        # the samples that determine the rest: n/2 + 1 if exactly even
+        span = grid.n_points // 2 + 1 if even else grid.n_points
+        _check_psd_values(v[:span], grid.omegas)
+        if not even:
             # Two scratch arrays hold the gaps and the tolerances, rounded
             # exactly as in abs(tail - mirror) > 1e-300 + 1e-9 * mirror, so
             # the decision keeps its bits; an exact pair has gap 0 and passes.
@@ -122,6 +128,7 @@ class SpectrumSamples:
         v.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "_span", span)
 
 
 def _check_psd_values(v: np.ndarray, omegas: np.ndarray) -> None:
@@ -213,6 +220,15 @@ def _mirror(out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _elementwise(form, span: int, *arrays: np.ndarray) -> np.ndarray:
+    """A new array of n samples, the elementwise form(*heads, out=head) on
+    the arrays' first span samples; a span of n/2 + 1, for exactly even
+    arrays, is mirrored (see _mirror): the bits of an all-n pass."""
+    out = np.empty(len(arrays[0]))
+    form(*(a[:span] for a in arrays), out=out[:span])
+    return out if span == len(out) else _mirror(out)
+
+
 def output_psd(
     cl: ClosedLoop, sw: SpectrumSamples, sv: SpectrumSamples
 ) -> SpectrumSamples:
@@ -226,8 +242,16 @@ def output_psd(
         raise UnstableLoopError(
             "output PSD is defined only for a stable loop", poles=cl._unstable_poles
         )
-    fwy, fvy = _closed_loop_gains(cl, sw.grid)
-    return _owned(SpectrumSamples, sw.grid, fwy * sw.values + fvy * sv.values)
+    return _output_spectrum(*_closed_loop_gains(cl, sw.grid), sw, sv)
+
+
+def _output_spectrum(fwy, fvy, sw: SpectrumSamples, sv: SpectrumSamples) -> SpectrumSamples:
+    """|F_wy|^2 * S_W + |F_vy|^2 * S_V, from exactly even squared gains."""
+    values = _elementwise(
+        lambda a, b, c, d, out: np.add(np.multiply(a, b, out=out), c * d, out=out),
+        max(sw._span, sv._span), fwy, sw.values, fvy, sv.values,
+    )
+    return _owned(SpectrumSamples, sw.grid, values)
 
 
 def _closed_loop_gains(cl: ClosedLoop, grid: FrequencyGrid):
@@ -269,12 +293,7 @@ class LoopSpectra:
     @cached_property
     def sy(self) -> SpectrumSamples:
         """Loop-output PSD: |F_wy|^2 * S_W + |F_vy|^2 * S_V."""
-        grid = self.sw.grid
-        m = grid.n_points // 2 + 1
-        values = np.empty(grid.n_points)
-        head = np.multiply(self.fwy2[:m], self.sw.values[:m], out=values[:m])
-        head += self.fvy2[:m] * self.sv.values[:m]
-        return _owned(SpectrumSamples, grid, _mirror(values))
+        return _output_spectrum(self.fwy2, self.fvy2, self.sw, self.sv)
 
 
 def sensitivity_ratio(sa: SpectrumSamples, sb: SpectrumSamples) -> SpectrumSamples:
@@ -283,8 +302,11 @@ def sensitivity_ratio(sa: SpectrumSamples, sb: SpectrumSamples) -> SpectrumSampl
         raise InvalidInputError(
             f"mismatched grids: {sa.grid.n_points} vs {sb.grid.n_points} points"
         )
-    ratio = np.divide(sa.values, _divisor(sb.values, sb.grid.omegas))
-    return _owned(SpectrumSamples, sa.grid, np.sqrt(ratio, out=ratio))
+    ratio = _elementwise(
+        lambda a, b, w, out: np.sqrt(np.divide(a, _divisor(b, w), out=out), out=out),
+        max(sa._span, sb._span), sa.values, sb.values, sa.grid.omegas,
+    )
+    return _owned(SpectrumSamples, sa.grid, ratio)
 
 
 def _divisor(values: np.ndarray, omegas: np.ndarray) -> np.ndarray:
@@ -300,16 +322,17 @@ def log_integral(s: SpectrumSamples) -> float:
     Uniform-grid trapezoid rule, which by periodicity reduces to the plain
     mean of the log samples and converges spectrally for integrands analytic
     near the unit circle. A nonpositive sample raises LogDomainError, and a
-    near-singular one warns (see _first_low).
+    near-singular one warns (see _first_low). An exactly even s has its logs
+    formed on half the grid (see _elementwise); the mean is over all n.
     """
-    if _first_low("log integrand", s.values, s.grid.omegas) is not None:
+    if _first_low("log integrand", s.values[: s._span], s.grid.omegas) is not None:
         warnings.warn(
             "log integrand has near-singular samples (< 1e-12); "
             "the fixed grid cannot certify accuracy",
             RuntimeWarning,
             stacklevel=2,
         )
-    return float(np.mean(np.log(s.values)))
+    return float(np.mean(_elementwise(np.log, s._span, s.values)))
 
 
 def _first_low(label: str, vals: np.ndarray, omegas: np.ndarray) -> int | None:

@@ -139,6 +139,22 @@ def test_analyze_coefficients_out_of_float_range_exit_1(tmp_path, plant, control
     assert "Traceback" not in res.stderr and "Warning" not in res.stderr
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_overflowed_sensitivity_ratio_exits_1(tmp_path, command):
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({
+        "plant": {"num": [0.0, 1.0], "den": [1.0, -2.0]},
+        "controller": {"num": [-2.0]},
+        "channel_noise": {"kind": "white", "variance": 1e-200},
+        "output_disturbance": {"kind": "white", "variance": 1e200},
+    }))
+    res = run_cli(command, str(cfg))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "sensitivity ratio S_Y/S_W" in res.stderr
+    assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+
+
 def test_analyze_missing_file_exits_1(tmp_path):
     res = run_cli("analyze", str(tmp_path / "absent.json"))
     assert res.returncode == 1

@@ -687,6 +687,20 @@ def test_non_finite_closed_loop_gain_raises_on_both_routes():
             controller_independence_check(model, [k, k])
 
 
+def test_overflowed_sensitivity_ratio_raises_on_both_routes(worked_model):
+    """With channel variance 1e-200 and disturbance variance 1e200, S_Y/S_W
+    and its controller-free part |H|^2 S_V/S_W overflow. Both routes raise
+    the same InvalidInputError naming the ratio, and leak no numpy warning."""
+    model = replace(worked_model, channel_noise=white(1e-200),
+                    output_disturbance=white(1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=r"sensitivity ratio S_Y/S_W"):
+            decompose(RateInputs(model))
+        with pytest.raises(InvalidInputError, match=r"sensitivity ratio S_Y/S_W"):
+            controller_independence_check(model, [tf([-2.0]), tf([-1.5])])
+
+
 @pytest.mark.parametrize("route", ["decompose", "independence"])
 def test_disagreeing_disturbance_forms_raise(monkeypatch, worked_model, route):
     """An F-ratio form 2e-10 off the simplified one fails the 1e-10 cross-check."""

@@ -248,6 +248,41 @@ def test_grid_omegas_evaluate_as_a_copy_bit_for_bit(n):
             assert not np.shares_memory(got, g.unit_circle)
 
 
+@pytest.mark.parametrize("n", [64, 4096, 65536, 2**20])
+def test_grid_is_exactly_symmetric_about_omega_zero(n):
+    g = FrequencyGrid(n)
+    w, e, m = g.omegas, g.unit_circle, n // 2 + 1
+    assert w[:m].tobytes() == (-np.pi + 2 * np.pi * np.arange(m) / n).tobytes()
+    assert w[n // 2] == 0.0 and not np.signbit(w[n // 2])
+    assert w[m:].tobytes() == (-w[m - 2 : 0 : -1]).tobytes()
+    assert e[m:].tobytes() == np.conjugate(e[m - 2 : 0 : -1]).tobytes()
+
+
+def test_grid_omegas_evaluate_half_the_points_once(monkeypatch):
+    """freq_response_array on a grid's own omegas evaluates the n/2 + 1
+    points with omega <= 0 and conjugates the rest; a static gain needs no
+    evaluation."""
+    n = 4096
+    g = FrequencyGrid(n)
+    calls = []
+    real = lti.unit_circle_response
+
+    def counting(tf_, points, omegas):
+        calls.append(len(points))
+        return real(tf_, points, omegas)
+
+    monkeypatch.setattr(lti, "unit_circle_response", counting)
+    for f in GRID_LOOPS[2]:
+        calls.clear()
+        got = freq_response_array(f, g.omegas)
+        assert calls == [n // 2 + 1]
+        assert got[n // 2 + 1 :].tobytes() == np.conjugate(got[n // 2 - 1 : 0 : -1]).tobytes()
+    calls.clear()
+    static = freq_response_array(tf([-2.0], [4.0]), g.omegas)
+    assert calls == []
+    assert static.tobytes() == np.full(n, -0.5 + 0j).tobytes()
+
+
 def test_grid_omegas_reuse_the_cached_points(monkeypatch):
     n = 4096
     g = FrequencyGrid(n)

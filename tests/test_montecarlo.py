@@ -657,8 +657,9 @@ def test_welch_is_exactly_even_only_where_grid_samples_are_bins():
     for n in (64, 1024, 4096, 65536):
         v = welch_psd(x, FrequencyGrid(n)).values
         gap = np.abs(v[1:] - v[:0:-1]) / v[:0:-1]
-        # at most 1024 points every sample is a bin; finer grids interpolate
-        # at omegas that are not all exact negatives of their mirrors
+        # at most 1024 points every sample is a bin; finer grids interpolate,
+        # and np.interp's periodic reduction (negative omegas and bins shifted
+        # by 2 pi, with a rounding) treats a sample and its mirror unequally
         assert (float(np.max(gap)) == 0.0) == (n <= 1024)
         assert float(np.max(gap)) < 1e-12
 

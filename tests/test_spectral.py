@@ -23,6 +23,7 @@ from loopinfo import (
     colored,
     decompose,
     freq_response_array,
+    gaussian_entropy_rate,
     log_integral,
     noise_psd,
     output_psd,
@@ -266,6 +267,55 @@ def test_squared_gain_evaluates_omega_up_to_zero_and_mirrors(n):
     head = np.abs(freq_response_array(f, g.omegas[: n // 2 + 1])) ** 2
     expected = np.concatenate([head, head[n // 2 - 1 : 0 : -1]])
     assert squared_gain(f, g).tobytes() == expected.tobytes()
+
+
+def _all_n_formulas(cl, g, sw, sv, sy):
+    """output_psd, sensitivity_ratio, log_integral and gaussian_entropy_rate
+    as numpy forms them over all n samples."""
+    fwy, fvy = squared_gain(cl.f_wy, g), squared_gain(cl.f_vy, g)
+    mean_log = float(np.mean(np.log(sy.values)))
+    return (
+        (fwy * sw.values + fvy * sv.values).tobytes(),
+        np.sqrt(sy.values / sw.values).tobytes(),
+        mean_log,
+        0.5 * math.log(2.0 * math.pi * math.e) + 0.5 * mean_log,
+    )
+
+
+def _library_routes(cl, sw, sv, sy):
+    return (
+        output_psd(cl, sw, sv).values.tobytes(),
+        sensitivity_ratio(sy, sw).values.tobytes(),
+        log_integral(sy),
+        gaussian_entropy_rate(sy),
+    )
+
+
+@pytest.mark.parametrize("n", [64, 4096, 65536])
+def test_exactly_even_spectra_take_the_half_bit_for_bit(n):
+    g = FrequencyGrid(n)
+    model = _even_test_model()
+    spectra = LoopSpectra.evaluate(model, g)
+    sw, sv, sy = spectra.sw, spectra.sv, spectra.sy
+    cl = close_loop(model)
+    assert sw._span == sv._span == sy._span == n // 2 + 1
+    assert _library_routes(cl, sw, sv, sy) == _all_n_formulas(cl, g, sw, sv, sy)
+
+
+def test_spectra_even_only_within_the_tolerance_take_all_n_samples():
+    n = 4096
+    g = FrequencyGrid(n)
+    model = _even_test_model()
+    spectra = LoopSpectra.evaluate(model, g)
+    nearly = []
+    for s in (spectra.sw, spectra.sv, spectra.sy):
+        v = s.values.copy()
+        v[20] *= 1.0 + 5e-10  # sample n - 20 is not moved
+        nearly.append(SpectrumSamples(g, v))
+        assert nearly[-1]._span == n
+    sw, sv, sy = nearly
+    cl = close_loop(model)
+    assert _library_routes(cl, sw, sv, sy) == _all_n_formulas(cl, g, sw, sv, sy)
 
 
 def test_output_psd_passthrough_and_worked_example(worked_model):
