@@ -36,6 +36,7 @@ from .lti import (
 )
 from .spectral import (
     NEAR_SINGULAR_FLOOR,
+    _RATIO_OVERFLOW,
     FrequencyGrid,
     LoopSpectra,
     NoiseSpec,
@@ -58,8 +59,6 @@ CROSS_CHECK_TOL = 1e-10
 # The disturbance terms of one loop under several controllers must agree
 # this closely.
 _INDEPENDENCE_TOL = 1e-9
-# Both routes' error when S_Y/S_W, or its part |H|^2 S_V/S_W, overflows.
-_RATIO_OVERFLOW = "the sensitivity ratio S_Y/S_W exceeds the float range"
 
 
 @dataclass(frozen=True)

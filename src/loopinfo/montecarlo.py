@@ -18,8 +18,11 @@ only on the loop recursion, so they are built once per recursion (the five
 transfer functions it realizes) and kept, read-only, for the last 16 used;
 every run, seed and length then pays only its own draws and products. A
 source with unit shaping needs no product: its signal is its innovations.
-Spectra of the recorded trajectories are estimated with Welch's method and
-pushed through the same log-integral engine as the analytic path.
+Spectra of the recorded trajectories are estimated with Welch's method,
+whose window is fixed at import, and pushed through the same log-integral
+engine as the analytic path. The analytic report a comparison checks them
+against is the same for every seed and length: it is formed once per loop
+and grid and kept for the last 16 loop/grid pairs used.
 """
 
 from __future__ import annotations
@@ -41,7 +44,13 @@ from .spectral import (
     log_integral,
     sensitivity_ratio,
 )
-from .decomposition import RateInputs, _check_seed, decompose
+from .decomposition import (
+    DecompositionReport,
+    RateInputs,
+    _check_seed,
+    _warn_if_off_exact,
+    decompose,
+)
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -51,7 +60,12 @@ _BLOCK = 64  # samples advanced per step of the lifted recursion
 _SUPER = 32  # blocks the carried state advances per step, at most
 _SEGMENT = 1024  # Welch segment length; each segment overlaps the last by half
 _WELCH_BLOCK = 2**15  # samples of windowed segments transformed at once
-_MAPS_KEPT = 16  # loop recursions whose block maps are kept, the last used
+_MAPS_KEPT = 16  # block maps and analytic reports kept, for the last used
+
+# periodic Hann, the right variant for overlapped averaging, and its power
+_HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(_SEGMENT) / _SEGMENT)
+_HANN.flags.writeable = False
+_HANN_POWER = np.sum(_HANN**2)
 
 
 @dataclass(frozen=True)
@@ -100,7 +114,8 @@ class TrajectorySet:
                 raise InvalidInputError(
                     f"signal {name} has shape {arr.shape}; each must be 1-d, as long as y"
                 )
-            if not np.all(np.isfinite(arr)):
+            # min and max carry NaN, so finite extremes clear every sample
+            if len(arr) and not (-np.inf < arr.min() and arr.max() < np.inf):
                 raise InvalidInputError(f"signal {name} contains non-finite samples")
         if not np.array_equal(y, z + w):
             raise InvalidInputError("channel equation y = z + w violated")
@@ -211,18 +226,21 @@ class _BlockMaps:
     orders: tuple[int, ...]
 
 
-def _block_maps_for(model: LoopModel) -> _BlockMaps:
-    """The block maps of model's loop recursion, built once per recursion.
-
-    The recursion is fixed by five transfer functions: the shaping filters
-    (1 for a white source), P, H and K. Variances, initial state, seed and
-    length play no part. The key also holds the coefficients' bytes, which
-    tell -0.0 from 0.0, though the transfer functions compare them equal.
-    """
+def _recursion(model: LoopModel):
+    """The key of model's loop recursion: the five transfer functions that
+    fix it, the shaping filters (1 for a white source), P, H and K, and their
+    coefficients' bytes, which tell -0.0 from 0.0, though the transfer
+    functions compare them equal."""
     w, v = model.channel_noise, model.output_disturbance
     elements = (w.shaping, v.shaping, model.plant, model.feedback_filter, model.controller)
     bits = tuple(np.array(p.coeffs).tobytes() for f in elements for p in (f.num, f.den))
-    return _block_maps(elements, bits)
+    return elements, bits
+
+
+def _block_maps_for(model: LoopModel) -> _BlockMaps:
+    """The block maps of model's loop recursion, built once per recursion:
+    variances, initial state, seed and length play no part."""
+    return _block_maps(*_recursion(model))
 
 
 @lru_cache(maxsize=_MAPS_KEPT)
@@ -345,7 +363,8 @@ def simulate_loop(cfg: SimulationConfig) -> TrajectorySet:
     x0 = np.concatenate([np.zeros(sum(shaping)), x0])
 
     blocks = -(-n // _BLOCK)
-    sig = np.zeros((4, blocks * _BLOCK))  # the innovations, then the signals
+    sig = np.empty((4, blocks * _BLOCK))  # the innovations, then the signals
+    sig[:2, n:] = 0.0  # the innovations' padding; the products write z and u in full
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     w_eps, v_eps = sig[0, :n], sig[1, :n]
     w_var, v_var = model.channel_noise.variance, model.output_disturbance.variance
@@ -358,6 +377,8 @@ def simulate_loop(cfg: SimulationConfig) -> TrajectorySet:
     if v_var > 0.0:
         rng.standard_normal(out=v_eps)
         v_eps *= math.sqrt(v_var)
+    else:
+        v_eps.fill(0.0)
     limit = DIVERGENCE_LIMIT
     with np.errstate(all="ignore"):
         _lifted_run(maps, x0, sig)
@@ -414,23 +435,24 @@ def welch_psd(x, grid: FrequencyGrid | None = None) -> SpectrumSamples:
         raise InvalidInputError(
             f"need a 1-d sequence of at least {nseg} samples, got shape {x.shape}"
         )
-    # periodic Hann, the right variant for overlapped averaging
-    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nseg) / nseg)
-    scale = np.sum(win**2)
-
     segs = np.lib.stride_tricks.sliding_window_view(x, nseg)[:: nseg // 2]
-    # The periodograms are formed a block of segments at a time, which keeps
-    # the temporaries small. Each block's first row takes the running sum,
-    # and an axis-0 sum adds the rows one by one, so every periodogram is
-    # added in segment order.
-    rows = _WELCH_BLOCK // nseg
+    # The periodograms are formed a block of segments at a time, in two work
+    # buffers, which keeps the temporaries small. Each block's first row
+    # takes the running sum, and an axis-0 sum adds the rows one by one, so
+    # every periodogram is added in segment order.
+    rows = min(_WELCH_BLOCK // nseg, len(segs))
+    windowed = np.empty((rows, nseg))
+    power = np.empty((rows, nseg // 2 + 1))
     half = np.zeros(nseg // 2 + 1)
     for lo in range(0, len(segs), rows):
-        power = np.abs(np.fft.rfft(segs[lo : lo + rows] * win, axis=-1))
-        np.square(power, out=power)
-        power[0] += half
-        np.sum(power, axis=0, out=half)
-    half /= len(segs) * scale
+        block = segs[lo : lo + rows]
+        k = len(block)
+        np.multiply(block, _HANN, out=windowed[:k])
+        block_power = np.abs(np.fft.rfft(windowed[:k], axis=-1), out=power[:k])
+        np.square(block_power, out=block_power)
+        block_power[0] += half
+        np.sum(block_power, axis=0, out=half)
+    half /= len(segs) * _HANN_POWER
 
     # the bins re-centred on [-pi, pi); negative frequencies mirror positive ones
     centered = np.concatenate([half[:0:-1], half[:-1]])
@@ -477,20 +499,50 @@ class ComparisonRecord:
     floored_bins: int = 0
 
 
+# analytic report key -> DecompositionReport, the last _MAPS_KEPT used, oldest first
+_REPORTS: dict = {}
+
+
+def _analytic_report(model: LoopModel, grid: FrequencyGrid) -> DecompositionReport:
+    """decompose's report for model on grid, kept for the last _MAPS_KEPT
+    (16) loop/grid pairs used.
+
+    The report depends on the loop recursion (its key, see _recursion), the
+    bits of both variances and the grid size; initial state, seed and length
+    play no part. The key also holds the decompose that formed the report,
+    so a replaced or wrapped decompose forms its own reports. A kept report
+    re-issues the off-exact warning decompose gave on forming it. An error
+    is never kept: a failing loop raises on every call.
+    """
+    variances = (model.channel_noise.variance, model.output_disturbance.variance)
+    bits = np.array(variances, dtype=float).tobytes()
+    key = (decompose, _recursion(model)[1], bits, grid.n_points)
+    report = _REPORTS.pop(key, None)
+    if report is None:
+        report = decompose(RateInputs(model, grid))
+    else:
+        _warn_if_off_exact(report.convergence_estimate, grid, stacklevel=1)
+    _REPORTS[key] = report  # the most recent last
+    if len(_REPORTS) > _MAPS_KEPT:
+        del _REPORTS[next(iter(_REPORTS))]
+    return report
+
+
 def compare_report(
     cfg: SimulationConfig, tolerance: float = 0.03, grid: FrequencyGrid | None = None
 ) -> ComparisonRecord:
     """Simulate, estimate the rate, and compare with the analytic value.
 
     The simulation runs first, so a non-stabilizing configuration surfaces
-    as a divergence error before any analytic work.
+    as a divergence error before any analytic work. The analytic rate comes
+    from a report formed once per loop and grid (see _analytic_report).
     """
     if not (tolerance >= 0.0):
         raise InvalidInputError(f"tolerance must be >= 0, got {tolerance!r}")
     grid = grid or FrequencyGrid()
     traj = simulate_loop(cfg)
     empirical, floored = _empirical_detail(traj, grid)
-    analytic = decompose(RateInputs(cfg.model, grid)).total_rate
+    analytic = _analytic_report(cfg.model, grid).total_rate
     gap = abs(analytic - empirical)
     return ComparisonRecord(
         seed=cfg.seed,

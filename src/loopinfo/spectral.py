@@ -43,6 +43,9 @@ DEFAULT_GRID_POINTS = 4096
 # in principle, but the fixed grid cannot certify accuracy.
 NEAR_SINGULAR_FLOOR = 1e-12
 
+# The error of every route whose S_Y/S_W, or part of it, overflows.
+_RATIO_OVERFLOW = "the sensitivity ratio S_Y/S_W exceeds the float range"
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -297,15 +300,20 @@ class LoopSpectra:
 
 
 def sensitivity_ratio(sa: SpectrumSamples, sb: SpectrumSamples) -> SpectrumSamples:
-    """Generalized sensitivity sqrt(S_a / S_b), pointwise on the grid."""
+    """Generalized sensitivity sqrt(S_a / S_b), pointwise on the grid; a
+    ratio beyond the float range raises InvalidInputError, as in decompose."""
     if sa.grid != sb.grid:
         raise InvalidInputError(
             f"mismatched grids: {sa.grid.n_points} vs {sb.grid.n_points} points"
         )
-    ratio = _elementwise(
-        lambda a, b, w, out: np.sqrt(np.divide(a, _divisor(b, w), out=out), out=out),
-        max(sa._span, sb._span), sa.values, sb.values, sa.grid.omegas,
-    )
+    span = max(sa._span, sb._span)
+    with np.errstate(over="ignore"):  # S_a and S_b are finite, S_b > 1e-300
+        ratio = _elementwise(
+            lambda a, b, w, out: np.sqrt(np.divide(a, _divisor(b, w), out=out), out=out),
+            span, sa.values, sb.values, sa.grid.omegas,
+        )
+    if not ratio[:span].max() < np.inf:
+        raise InvalidInputError(_RATIO_OVERFLOW)
     return _owned(SpectrumSamples, sa.grid, ratio)
 
 

@@ -1,6 +1,7 @@
 """Time-domain simulation, Welch spectra, and analytic-vs-empirical agreement."""
 
 import csv
+import hashlib
 import io
 import math
 import os
@@ -19,7 +20,9 @@ from loopinfo import (
     LoopModel,
     RateInputs,
     SimulationConfig,
+    SingularityError,
     TrajectorySet,
+    UnstableLoopError,
     compare_report,
     colored,
     decompose,
@@ -31,6 +34,7 @@ from loopinfo import (
 )
 from loopinfo import montecarlo
 from loopinfo.lti import TF_ONE, TF_ZERO, pole_placement_controller
+from test_lean_evaluation import recorded_platform
 
 LN2 = math.log(2.0)
 
@@ -134,6 +138,25 @@ def test_trajectory_set_validation():
     row, flat = w.reshape(1, n), z.reshape(1, n)  # equal lengths, but 2-d
     with pytest.raises(InvalidInputError, match="1-d"):
         TrajectorySet(y=row, w=row, v=flat, z=flat, u=flat, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["+inf", "-inf", "nan"])
+@pytest.mark.parametrize("name", ["y", "w", "v", "z", "u"])
+def test_trajectory_set_rejects_non_finite_samples(name, bad):
+    n = 8
+    signals = dict(y=np.ones(n), w=np.ones(n), v=np.zeros(n), z=np.zeros(n), u=np.zeros(n))
+    signals[name][5] = bad
+    with pytest.raises(InvalidInputError) as info:
+        TrajectorySet(**signals, seed=0)
+    assert str(info.value) == f"signal {name} contains non-finite samples"
+
+
+def test_trajectory_set_accepts_float_extremes_and_empty_signals():
+    big = np.array([1.7e308, -1.7e308])
+    traj = TrajectorySet(y=big, w=big, v=-big, z=np.zeros(2), u=big, seed=0)
+    assert np.array_equal(traj.v, -big)
+    empty = np.empty(0)
+    assert TrajectorySet(y=empty, w=empty, v=empty, z=empty, u=empty, seed=0).sample_count == 0
 
 
 def test_trajectory_set_copies_what_a_caller_passes():
@@ -546,6 +569,112 @@ def test_memo_keys_negative_zero_apart():
 
 
 # ---------------------------------------------------------------------------
+# the analytic report, formed once per loop and grid
+
+
+@pytest.fixture
+def decompose_calls(monkeypatch):
+    """The models montecarlo has passed to decompose, the report memo empty."""
+    calls = []
+
+    def counted(inputs):
+        calls.append(inputs.model)
+        return decompose(inputs)
+
+    monkeypatch.setattr(montecarlo, "decompose", counted)
+    monkeypatch.setattr(montecarlo, "_REPORTS", {})
+    return calls
+
+
+def short_run(model, seed=0):
+    """A record just long enough for one Welch segment after burn-in."""
+    return SimulationConfig(model, n_samples=1088, burn_in=64, seed=seed)
+
+
+def test_report_memo_serves_a_second_seed_of_an_equal_loop(decompose_calls):
+    g = FrequencyGrid(256)
+    first = compare_report(short_run(order8_loop(), seed=0), grid=g)
+    second = compare_report(short_run(order8_loop(), seed=1), grid=g)  # built apart
+    assert len(decompose_calls) == 1
+    assert second.analytic_rate == first.analytic_rate
+    assert first.analytic_rate == decompose(RateInputs(order8_loop(), g)).total_rate
+    assert second.empirical_rate != first.empirical_rate
+
+
+def test_report_memo_is_not_served_to_a_replaced_decompose(monkeypatch, worked_model):
+    g = FrequencyGrid(256)
+    compare_report(short_run(worked_model), grid=g)
+    calls = []
+    monkeypatch.setattr(montecarlo, "decompose", lambda inputs: calls.append(0) or decompose(inputs))
+    compare_report(short_run(worked_model), grid=g)
+    compare_report(short_run(worked_model, seed=1), grid=g)
+    assert len(calls) == 1
+
+
+def test_report_memo_keys_variances_grid_and_negative_zero(decompose_calls, worked_model):
+    g = FrequencyGrid(256)
+    silent = replace(worked_model, output_disturbance=white(0.0))
+    runs = [
+        (worked_model, g),
+        (replace(worked_model, channel_noise=white(1.5)), g),
+        (replace(worked_model, output_disturbance=white(0.5)), g),
+        (silent, g),
+        (replace(worked_model, output_disturbance=white(-0.0)), g),
+        (replace(worked_model, plant=tf([-0.0, 1.0], [1.0, -2.0])), g),
+        (worked_model, FrequencyGrid(512)),
+    ]
+    for model, grid in runs:
+        compare_report(short_run(model), grid=grid)
+    assert len(decompose_calls) == len(runs)
+    # initial state, seed and length play no part
+    compare_report(short_run(replace(silent, initial_state=(0.3,)), seed=5), grid=g)
+    compare_report(SimulationConfig(silent, n_samples=2000, burn_in=64), grid=g)
+    assert len(decompose_calls) == len(runs)
+
+
+def test_report_memo_keeps_the_last_sixteen_loops(decompose_calls, worked_model):
+    g = FrequencyGrid(64)
+    loops = [replace(worked_model, controller=tf([-2.0 + 0.01 * i])) for i in range(17)]
+    for model in loops:
+        compare_report(short_run(model), grid=g)
+    assert len(montecarlo._REPORTS) == montecarlo._MAPS_KEPT == 16
+    compare_report(short_run(loops[16]), grid=g)
+    assert len(decompose_calls) == 17  # the newest is kept
+    compare_report(short_run(loops[0]), grid=g)
+    assert len(decompose_calls) == 18  # the oldest was evicted
+
+
+def test_report_memo_warns_on_a_hit_as_on_a_miss(decompose_calls, worked_model):
+    model = replace(worked_model, output_disturbance=colored(1.0, tf([1.0], [1.0, -0.9999])))
+    g = FrequencyGrid(512)
+    messages = []
+    for seed in (0, 1):
+        with pytest.warns(RuntimeWarning, match="from the exact Jensen values") as caught:
+            compare_report(short_run(model, seed), grid=g)
+        messages += [str(w.message) for w in caught]
+    assert len(decompose_calls) == 1
+    assert len(messages) == 2 and messages[0] == messages[1]
+
+
+@pytest.mark.parametrize(
+    "pole, gain, error, decomposed",
+    # closed-loop pole 1.0001: 1088 samples grow by under 12%, so the
+    # simulation passes and RateInputs refuses the loop; plant pole
+    # 0.9999999: a closed-loop zero that decompose finds near-singular
+    [(0.5, 0.5001, UnstableLoopError, 0), (0.9999999, -0.5, SingularityError, 2)],
+    ids=["non-stabilizing", "near-singular"],
+)
+def test_report_memo_keeps_no_error(decompose_calls, pole, gain, error, decomposed):
+    model = LoopModel(
+        tf([0.0, 1.0], [1.0, -pole]), tf([gain]), TF_ONE, white(1.0), white(1.0)
+    )
+    for _ in range(2):
+        with pytest.raises(error):
+            compare_report(short_run(model), grid=FrequencyGrid(64))
+    assert len(decompose_calls) == decomposed and not montecarlo._REPORTS
+
+
+# ---------------------------------------------------------------------------
 # source rows: innovations that need no product, and draws that are skipped
 
 
@@ -575,6 +704,41 @@ def test_silent_v_takes_no_draw(worked_model, silent):
     )
     assert quiet.w.tobytes() == loud.w.tobytes()
     assert not np.any(np.signbit(quiet.v))  # +0.0 at every sample
+
+
+def test_silent_v_is_positive_zero_in_a_reused_buffer(worked_model):
+    # the record is not a whole number of blocks, and the loud run before it
+    # leaves nonzero samples in the memory the silent run's buffer may reuse
+    run = dict(n_samples=4113, burn_in=0, seed=3)
+    loud = replace(worked_model, output_disturbance=COLORED_V)
+    quiet = replace(worked_model, output_disturbance=white(0.0))
+    assert np.any(simulate_loop(SimulationConfig(loud, **run)).v)
+    v = simulate_loop(SimulationConfig(quiet, **run)).v
+    assert np.all(v == 0.0) and not np.any(np.signbit(v))
+
+
+# sha256 of y, w, v, z and u, burn_in=0 and seed 11, for records that end
+# inside a block; the block products run through BLAS, so another build may
+# move their last digits
+_PADDED_DIGESTS = {
+    ("colored-v", 4100): "e27359d434093c9b9918860a0b9ecef620b5586f7a12767f3a250288546811be",
+    ("colored-v", 4113): "5dd3696003369d5de1118ee7785b74e43bf1fd86c64171fe35394efd0f49ce4d",
+    ("colored-v", 5000): "07c1973f819ae9975821ce43a43d2721b72520089bd7d5bf644e60b2112d0144",
+    ("silent-v", 4100): "25f559709de9b382ab8553ed73fbe090621d0858205ba39cdf35b1e0937220d9",
+    ("silent-v", 4113): "1d88a2829ef91adebf41bd4c6a30fa1c81f72b849e6ef144ef40a0676d592433",
+    ("silent-v", 5000): "605b7b681c24cef09428494e7c411dd5b79477b46093ed42a3b627371d66d5c1",
+}
+
+
+@recorded_platform
+@pytest.mark.parametrize("loop, n_samples", list(_PADDED_DIGESTS), ids=str)
+def test_records_ending_inside_a_block_are_pinned(worked_model, loop, n_samples):
+    v = COLORED_V if loop == "colored-v" else white(0.0)
+    model = replace(worked_model, output_disturbance=v)
+    digest = hashlib.sha256()
+    for chunk in signal_bytes(model, n_samples=n_samples, burn_in=0, seed=11):
+        digest.update(chunk)
+    assert digest.hexdigest() == _PADDED_DIGESTS[loop, n_samples]
 
 
 def test_silent_white_w_still_advances_the_stream(worked_model):

@@ -397,6 +397,25 @@ def test_sensitivity_ratio_rejects_zero_reference():
 
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowed_sensitivity_ratio_raises_decompose_error(worked_model):
+    """Channel variance 1e-200 against a disturbance of 1e200: S_Y/S_W
+    overflows. The public ratio raises decompose's error, without a numpy
+    overflow warning."""
+    model = LoopModel(
+        worked_model.plant, worked_model.controller, TF_ONE, white(1e-200), white(1e200)
+    )
+    g = FrequencyGrid(256)
+    sw = noise_psd(model.channel_noise, g)
+    sy = output_psd(close_loop(model), sw, noise_psd(model.output_disturbance, g))
+    with pytest.raises(InvalidInputError) as got:
+        sensitivity_ratio(sy, sw)
+    assert str(got.value) == "the sensitivity ratio S_Y/S_W exceeds the float range"
+    with pytest.raises(InvalidInputError) as want:
+        decompose(RateInputs(model, g))
+    assert str(got.value) == str(want.value)
+
+
 def test_sensitivity_ratio_rejects_mismatched_grids():
     a = SpectrumSamples(FrequencyGrid(64), np.ones(64))
     b = SpectrumSamples(FrequencyGrid(128), np.ones(128))
