@@ -48,7 +48,8 @@ def _strip_trailing_zeros(coeffs: Sequence[float]) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class Polynomial:
     """Real polynomial in the delay variable, ascending coefficients; being
-    immutable, it computes its z-plane roots once, on first use."""
+    immutable, it computes its z-plane roots once, on first use, by
+    _companion_roots: the roots np.roots gives, bit for bit."""
 
     coeffs: tuple[float, ...]
 
@@ -82,22 +83,52 @@ class Polynomial:
     @cached_property
     def _roots(self) -> tuple[complex, ...]:
         c = self.coeffs
-        lead = next((x for x in c if x != 0.0), 1.0)  # np.roots divides by it
+        lead = next((x for x in c if x != 0.0), 1.0)  # the companion row divides by it
         try:
-            if all(math.isfinite(x / lead) for x in c):  # else np.roots warns, then fails
-                return tuple(complex(r) for r in np.roots(c)) if self.degree else ()
+            if all(math.isfinite(x / lead) for x in c):  # else eigvals warns, then fails
+                return _companion_roots(c) if self.degree else ()
         except np.linalg.LinAlgError:
             pass
         raise InvalidInputError(f"cannot compute the roots of {c}: too wide a coefficient range")
+
+
+# LAPACK's geev rescales a matrix whose largest entry lies outside about
+# [2^-459, 2^459], and scaling back can move the last bit; inside, the
+# eigenvalue of a 1x1 matrix is its entry, unchanged.
+_EXACT_1X1 = (2.0**-400, 2.0**400)
+
+
+def _companion_roots(c: tuple[float, ...]) -> tuple[complex, ...]:
+    """The z-plane roots of ascending-d coefficients c (last one nonzero):
+    np.roots(c), bit for bit and in its order, without its wrapper.
+
+    Leading zeros, pure delays whose roots lie at infinity, are dropped, as
+    np.roots drops them. The rest's companion matrix, with row
+    -c[1:]/c[0] over a unit subdiagonal, is np.roots' own, and goes to the
+    same eigensolver; at degree 1 its one entry is the root, unless it lies
+    where that solver would rescale it.
+    """
+    p = c[next(i for i, x in enumerate(c) if x != 0.0):]
+    n = len(p) - 1
+    if n == 0:
+        return ()
+    if n == 1:
+        r = -p[1] / p[0]
+        if _EXACT_1X1[0] < abs(r) < _EXACT_1X1[1]:
+            return (complex(r),)
+    a = np.eye(n, k=-1)
+    a[0] = -np.array(p[1:]) / p[0]
+    return tuple(map(complex, np.linalg.eigvals(a).tolist()))
 
 
 def poly_roots(p: Polynomial) -> list[complex]:
     """Roots of p read as a z-plane polynomial (ascending-in-d = descending-in-z).
 
     Delay factors (zero constant term) put roots at infinity, which are
-    omitted; every returned root is finite. Uses the companion-matrix
-    eigensolver under the hood, once per polynomial; each call returns a
-    fresh list.
+    omitted; every returned root is finite. They are the eigenvalues of
+    np.roots' companion matrix, equal to np.roots bit for bit and in its
+    order (see _companion_roots), taken once per polynomial; each call
+    returns a fresh list.
     """
     return list(p._roots)
 

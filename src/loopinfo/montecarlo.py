@@ -87,13 +87,14 @@ class SimulationConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrajectorySet:
-    """Post-burn-in signal records: five 1-d signals of one length,
+    """Post-burn-in signal records: five finite 1-d signals of one length,
     sample_count. y = z + w holds exactly at every sample.
 
     The signals are read-only. The constructor copies the arrays a caller
-    passes, so changing them later changes nothing here; simulate_loop hands
-    over the arrays it has just formed, through _owned, which checks them
-    the same way and makes them read-only but does not copy them.
+    passes and checks them, so changing them later changes nothing here.
+    simulate_loop hands over the arrays it has just formed, through _owned,
+    which makes them read-only but neither copies nor re-checks them: that
+    routine's own construction proves each check (see _adopt).
     """
 
     y: np.ndarray
@@ -104,12 +105,8 @@ class TrajectorySet:
     seed: int
 
     def __init__(self, y, w, v, z, u, seed):
-        signals = (np.array(s, dtype=float) for s in (y, w, v, z, u))
-        self._adopt(*signals, seed)
-
-    def _adopt(self, y, w, v, z, u, seed) -> None:
-        arrays = {"y": y, "w": w, "v": v, "z": z, "u": u}
-        for name, arr in arrays.items():
+        y, w, v, z, u = (np.array(s, dtype=float) for s in (y, w, v, z, u))
+        for name, arr in zip("ywvzu", (y, w, v, z, u)):
             if arr.ndim != 1 or len(arr) != len(y):
                 raise InvalidInputError(
                     f"signal {name} has shape {arr.shape}; each must be 1-d, as long as y"
@@ -119,7 +116,20 @@ class TrajectorySet:
                 raise InvalidInputError(f"signal {name} contains non-finite samples")
         if not np.array_equal(y, z + w):
             raise InvalidInputError("channel equation y = z + w violated")
-        for name, arr in arrays.items():
+        self._adopt(y, w, v, z, u, seed)
+
+    def _adopt(self, y, w, v, z, u, seed) -> None:
+        """Take over the signals unchecked and make them read-only.
+
+        For simulate_loop's record each check holds by construction. The
+        five are slices of rows of one length at one offset. y is the sum
+        z + w itself. The divergence guard has bounded w, v, y and u to
+        +-DIVERGENCE_LIMIT, so z = y - w is finite too: a non-finite or
+        huge z, or a NaN in w, makes y fail the guard, and a NaN in v comes
+        only from a non-finite carried state, which z's and u's rows read
+        as well.
+        """
+        for name, arr in zip("ywvzu", (y, w, v, z, u)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "seed", int(seed))

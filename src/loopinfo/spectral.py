@@ -76,8 +76,10 @@ class FrequencyGrid:
 
 def _owned(cls, *fields):
     """An instance of cls taking over fields whose arrays are new and held by
-    no one else: validated by cls._adopt, as the copying constructor does,
-    and made read-only there, but not copied."""
+    no one else, through cls._adopt, which makes them read-only but does not
+    copy them. SpectrumSamples._adopt validates them as the copying
+    constructor does; TrajectorySet._adopt takes simulate_loop's record,
+    whose construction proves the constructor's checks."""
     obj = cls.__new__(cls)
     obj._adopt(*fields)
     return obj

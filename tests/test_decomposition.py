@@ -372,19 +372,20 @@ def test_integrands_taken_are_full_and_exactly_even(n):
 
 
 def _root_key(coeffs):
-    """A polynomial as np.roots sees it: leading zeros (pure delays) dropped."""
+    """A polynomial as its companion matrix sees it: leading zeros (pure
+    delays) dropped."""
     return tuple(np.trim_zeros(np.asarray(coeffs, dtype=float), "f"))
 
 
 def _count_roots(monkeypatch):
     calls = []
-    real = np.roots
+    real = lti._companion_roots
 
-    def counting(p):
-        calls.append(_root_key(p))
-        return real(p)
+    def counting(c):
+        calls.append(_root_key(c))
+        return real(c)
 
-    monkeypatch.setattr(np, "roots", counting)
+    monkeypatch.setattr(lti, "_companion_roots", counting)
     return calls
 
 

@@ -86,6 +86,79 @@ def test_poly_roots_constant_and_nonfinite():
         poly_roots(Polynomial([1.0, float("inf")]))
 
 
+def _bits(roots) -> list[tuple[str, str]]:
+    return [(complex(r).real.hex(), complex(r).imag.hex()) for r in roots]
+
+
+def _assert_roots_are_np_roots(coeffs):
+    p = Polynomial(coeffs)
+    assert _bits(p._roots) == _bits(np.roots(p.coeffs))
+
+
+def _roots_corpus():
+    """Seeded polynomials of degree 0-10 with magnitudes 1e-3 to 1e3, a
+    fifth with a pure-delay prefix; then the hard cases: repeated roots,
+    roots within 1e-6 of the unit circle and coefficients of 1e-150 to
+    1e150."""
+    rng = np.random.default_rng(20260)
+    for _ in range(600):
+        deg = int(rng.integers(0, 11))
+        c = rng.standard_normal(deg + 1) * 10.0 ** rng.uniform(-3, 3, deg + 1)
+        delay = int(rng.integers(1, 4)) if rng.random() < 0.2 else 0
+        yield [0.0] * delay + c.tolist()
+    for _ in range(200):
+        deg = int(rng.integers(1, 9))
+        yield (rng.standard_normal(deg + 1) * 10.0 ** rng.uniform(-150, 150, deg + 1)).tolist()
+    double = Polynomial([1.0, -1.5]) * Polynomial([1.0, -1.5])
+    yield (double * Polynomial([1.0, -0.5])).coeffs
+    yield (double * double).coeffs
+    yield (double * Polynomial([1.0, -0.9999]) * Polynomial([1.0, -0.9999])).coeffs
+    for r in (1.0 - 1e-6, 1.0 + 1e-7, -(1.0 - 1e-6)):
+        yield [1.0, -r]
+        yield (Polynomial([1.0, -r]) * Polynomial([1.0, -0.3, 0.2])).coeffs
+    near = [complex(np.exp(1j * t)) * (1.0 - 1e-6) for t in (0.4, -0.4, 2.0, -2.0)]
+    yield lti._poly_from_z_roots(near, 1.0).coeffs
+    yield [0.0, 0.0, 3.0]  # a pure delay: no finite root
+
+
+def test_roots_are_np_roots_bit_for_bit_on_a_seeded_corpus():
+    for coeffs in _roots_corpus():
+        _assert_roots_are_np_roots(coeffs)
+
+
+def test_degree_one_roots_are_np_roots_where_lapack_rescales():
+    """LAPACK's eigensolver rescales a root beyond about 2^459 or below
+    2^-459, and scaling back moves its last bit; the root must follow it."""
+    rng = np.random.default_rng(7)
+    for a, b in 10.0 ** rng.uniform(-150, 150, (2000, 2)):
+        _assert_roots_are_np_roots([a, -b])
+    for e in (-470, -459, -401, -400, -399, 399, 400, 401, 459, 470):
+        for m in (1.0, 1.25, 1.9999999999999998):
+            _assert_roots_are_np_roots([1.0, m * 2.0**e])
+            _assert_roots_are_np_roots([m * 2.0**-e, -1.0])
+
+
+_wide = st.floats(min_value=1e-150, max_value=1e150) | st.floats(min_value=-1e150, max_value=-1e-150)
+
+
+@given(st.integers(0, 3), st.lists(_wide, min_size=1, max_size=11))
+def test_roots_are_np_roots_bit_for_bit(delay, coeffs):
+    _assert_roots_are_np_roots([0.0] * delay + coeffs)
+
+
+def test_roots_solver_failure_is_an_input_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    coeffs = (1.0, -0.5, 0.25)
+    with pytest.raises(InvalidInputError) as info:
+        poly_roots(Polynomial(coeffs))
+    assert str(info.value) == (
+        f"cannot compute the roots of {coeffs}: too wide a coefficient range"
+    )
+
+
 # ---------------------------------------------------------------------------
 # TransferFunction construction and reduction
 

@@ -171,6 +171,49 @@ def test_trajectory_set_copies_what_a_caller_passes():
     assert np.array_equal(traj.u, -np.ones(n))
 
 
+def test_trajectory_set_names_a_bad_shape_and_a_broken_channel_equation():
+    n = 8
+    z, w = np.zeros(n), np.ones(n)
+    with pytest.raises(InvalidInputError) as info:
+        TrajectorySet(y=z, w=w, v=z, z=z, u=z, seed=0)
+    assert str(info.value) == "channel equation y = z + w violated"
+    with pytest.raises(InvalidInputError) as info:
+        TrajectorySet(y=w, w=w, v=z, z=np.zeros(n - 1), u=z, seed=0)
+    assert str(info.value) == "signal z has shape (7,); each must be 1-d, as long as y"
+    with pytest.raises(InvalidInputError) as info:
+        TrajectorySet(y=w.reshape(2, 4), w=w, v=z, z=z, u=z, seed=0)
+    assert str(info.value) == "signal y has shape (2, 4); each must be 1-d, as long as y"
+
+
+# (controller, w, v, n_samples, burn_in) on the plant d/(1 - 2d); each
+# source is named, since the colored ones are defined further down
+_RECORDS = {
+    "worked": (-2.0, "white", "white", 5000, 256),
+    "colored": (-2.0, "colored", "colored", 4113, 0),
+    "silent-v": (-2.0, "white", "silent", 4100, 64),
+    # closed-loop pole at 1.9: 48 samples reach about 5e11, inside the guard
+    "near-guard": (-0.1, "white", "white", 48, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(_RECORDS))
+def test_simulated_record_meets_every_constructor_check(case):
+    """simulate_loop's record is handed over unchecked; the public
+    constructor, which checks everything, accepts it and copies it bit for
+    bit."""
+    gain, w, v, n_samples, burn_in = _RECORDS[case]
+    sources = {"white": white(1.0), "silent": white(0.0)}
+    w = COLORED_W if w == "colored" else sources[w]
+    v = COLORED_V if v == "colored" else sources[v]
+    model = LoopModel(tf([0.0, 1.0], [1.0, -2.0]), tf([gain]), TF_ONE, w, v)
+    traj = simulate_loop(SimulationConfig(model, n_samples=n_samples, burn_in=burn_in, seed=3))
+    checked = TrajectorySet(traj.y, traj.w, traj.v, traj.z, traj.u, traj.seed)
+    for name in "ywvzu":
+        assert getattr(checked, name).tobytes() == getattr(traj, name).tobytes()
+        assert not getattr(traj, name).flags.writeable
+    assert checked.sample_count == traj.sample_count == n_samples - burn_in
+
+
 def test_simulated_signals_are_read_only(worked_model):
     traj = simulate_loop(SimulationConfig(worked_model, n_samples=2**13, seed=1))
     for name in ("y", "w", "v", "z", "u"):
