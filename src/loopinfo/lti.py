@@ -491,7 +491,6 @@ class StabilityReport:
     closed_loop_poles: tuple[complex, ...]
     offending_poles: tuple[complex, ...]
     unstable_cancellations: tuple[complex, ...]
-    degenerate: bool = False  # always False: 1 - L is never zero (see _loop_gain_raw)
 
     def _require(self, message: str) -> None:
         """Raise UnstableLoopError(message, offending poles) unless stabilizing."""

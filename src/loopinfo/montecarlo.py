@@ -20,9 +20,8 @@ every run, seed and length then pays only its own draws and products. A
 source with unit shaping needs no product: its signal is its innovations.
 Spectra of the recorded trajectories are estimated with Welch's method,
 whose window is fixed at import, and pushed through the same log-integral
-engine as the analytic path. The analytic report a comparison checks them
-against is the same for every seed and length: it is formed once per loop
-and grid and kept for the last 16 loop/grid pairs used.
+engine as the analytic path, and each comparison checks them against
+decompose's total rate for the loop on the same grid.
 """
 
 from __future__ import annotations
@@ -44,13 +43,7 @@ from .spectral import (
     log_integral,
     sensitivity_ratio,
 )
-from .decomposition import (
-    DecompositionReport,
-    RateInputs,
-    _check_seed,
-    _warn_if_off_exact,
-    decompose,
-)
+from .decomposition import RateInputs, _check_seed, decompose
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -60,7 +53,7 @@ _BLOCK = 64  # samples advanced per step of the lifted recursion
 _SUPER = 32  # blocks the carried state advances per step, at most
 _SEGMENT = 1024  # Welch segment length; each segment overlaps the last by half
 _WELCH_BLOCK = 2**15  # samples of windowed segments transformed at once
-_MAPS_KEPT = 16  # block maps and analytic reports kept, for the last used
+_MAPS_KEPT = 16  # block maps kept, for the last loop recursions used
 
 # periodic Hann, the right variant for overlapped averaging, and its power
 _HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(_SEGMENT) / _SEGMENT)
@@ -236,21 +229,16 @@ class _BlockMaps:
     orders: tuple[int, ...]
 
 
-def _recursion(model: LoopModel):
-    """The key of model's loop recursion: the five transfer functions that
-    fix it, the shaping filters (1 for a white source), P, H and K, and their
-    coefficients' bytes, which tell -0.0 from 0.0, though the transfer
-    functions compare them equal."""
+def _block_maps_for(model: LoopModel) -> _BlockMaps:
+    """The block maps of model's loop recursion, built once per recursion:
+    variances, initial state, seed and length play no part. The recursion is
+    keyed by the five transfer functions that fix it, the shaping filters (1
+    for a white source), P, H and K, and by their coefficients' bytes, which
+    tell -0.0 from 0.0, though the transfer functions compare them equal."""
     w, v = model.channel_noise, model.output_disturbance
     elements = (w.shaping, v.shaping, model.plant, model.feedback_filter, model.controller)
     bits = tuple(np.array(p.coeffs).tobytes() for f in elements for p in (f.num, f.den))
-    return elements, bits
-
-
-def _block_maps_for(model: LoopModel) -> _BlockMaps:
-    """The block maps of model's loop recursion, built once per recursion:
-    variances, initial state, seed and length play no part."""
-    return _block_maps(*_recursion(model))
+    return _block_maps(elements, bits)
 
 
 @lru_cache(maxsize=_MAPS_KEPT)
@@ -509,50 +497,22 @@ class ComparisonRecord:
     floored_bins: int = 0
 
 
-# analytic report key -> DecompositionReport, the last _MAPS_KEPT used, oldest first
-_REPORTS: dict = {}
-
-
-def _analytic_report(model: LoopModel, grid: FrequencyGrid) -> DecompositionReport:
-    """decompose's report for model on grid, kept for the last _MAPS_KEPT
-    (16) loop/grid pairs used.
-
-    The report depends on the loop recursion (its key, see _recursion), the
-    bits of both variances and the grid size; initial state, seed and length
-    play no part. The key also holds the decompose that formed the report,
-    so a replaced or wrapped decompose forms its own reports. A kept report
-    re-issues the off-exact warning decompose gave on forming it. An error
-    is never kept: a failing loop raises on every call.
-    """
-    variances = (model.channel_noise.variance, model.output_disturbance.variance)
-    bits = np.array(variances, dtype=float).tobytes()
-    key = (decompose, _recursion(model)[1], bits, grid.n_points)
-    report = _REPORTS.pop(key, None)
-    if report is None:
-        report = decompose(RateInputs(model, grid))
-    else:
-        _warn_if_off_exact(report.convergence_estimate, grid, stacklevel=1)
-    _REPORTS[key] = report  # the most recent last
-    if len(_REPORTS) > _MAPS_KEPT:
-        del _REPORTS[next(iter(_REPORTS))]
-    return report
-
-
 def compare_report(
     cfg: SimulationConfig, tolerance: float = 0.03, grid: FrequencyGrid | None = None
 ) -> ComparisonRecord:
     """Simulate, estimate the rate, and compare with the analytic value.
 
     The simulation runs first, so a non-stabilizing configuration surfaces
-    as a divergence error before any analytic work. The analytic rate comes
-    from a report formed once per loop and grid (see _analytic_report).
+    as a divergence error before any analytic work. The analytic rate is
+    decompose's total rate for the loop on the same grid, formed on every
+    call, so its off-exact warning and its errors come with every call.
     """
     if not (tolerance >= 0.0):
         raise InvalidInputError(f"tolerance must be >= 0, got {tolerance!r}")
     grid = grid or FrequencyGrid()
     traj = simulate_loop(cfg)
     empirical, floored = _empirical_detail(traj, grid)
-    analytic = _analytic_report(cfg.model, grid).total_rate
+    analytic = decompose(RateInputs(cfg.model, grid)).total_rate
     gap = abs(analytic - empirical)
     return ComparisonRecord(
         seed=cfg.seed,

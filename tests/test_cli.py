@@ -357,7 +357,7 @@ def test_simulate_divergence_exits_2(tmp_path):
 
 STABILITY_KEYS = {
     "is_stabilizing", "closed_loop_poles", "offending_poles",
-    "unstable_cancellations", "degenerate",
+    "unstable_cancellations",
 }
 
 

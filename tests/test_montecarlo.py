@@ -612,21 +612,7 @@ def test_memo_keys_negative_zero_apart():
 
 
 # ---------------------------------------------------------------------------
-# the analytic report, formed once per loop and grid
-
-
-@pytest.fixture
-def decompose_calls(monkeypatch):
-    """The models montecarlo has passed to decompose, the report memo empty."""
-    calls = []
-
-    def counted(inputs):
-        calls.append(inputs.model)
-        return decompose(inputs)
-
-    monkeypatch.setattr(montecarlo, "decompose", counted)
-    monkeypatch.setattr(montecarlo, "_REPORTS", {})
-    return calls
+# the analytic rate: decompose's total, formed on every call
 
 
 def short_run(model, seed=0):
@@ -634,60 +620,37 @@ def short_run(model, seed=0):
     return SimulationConfig(model, n_samples=1088, burn_in=64, seed=seed)
 
 
-def test_report_memo_serves_a_second_seed_of_an_equal_loop(decompose_calls):
-    g = FrequencyGrid(256)
-    first = compare_report(short_run(order8_loop(), seed=0), grid=g)
-    second = compare_report(short_run(order8_loop(), seed=1), grid=g)  # built apart
-    assert len(decompose_calls) == 1
-    assert second.analytic_rate == first.analytic_rate
-    assert first.analytic_rate == decompose(RateInputs(order8_loop(), g)).total_rate
-    assert second.empirical_rate != first.empirical_rate
+def colored_v_loop():
+    """A new LoopModel each call: the worked loop with a colored v."""
+    return LoopModel(tf([0.0, 1.0], [1.0, -2.0]), tf([-2.0]), TF_ONE, white(1.0), COLORED_V)
 
 
-def test_report_memo_is_not_served_to_a_replaced_decompose(monkeypatch, worked_model):
-    g = FrequencyGrid(256)
-    compare_report(short_run(worked_model), grid=g)
+@pytest.mark.parametrize("n_points", [256, 4096])
+@pytest.mark.parametrize("loop", [order8_loop, colored_v_loop], ids=["order8", "colored-v"])
+def test_analytic_rate_is_the_decompose_total_bit_for_bit(loop, n_points):
+    # the equality the benchmark's monte-carlo check relies on
+    g = FrequencyGrid(n_points)
+    exact = decompose(RateInputs(loop(), g)).total_rate.hex()
+    records = [compare_report(short_run(loop(), seed), grid=g) for seed in (0, 1)]
+    assert [r.analytic_rate.hex() for r in records] == [exact, exact]
+    assert records[0].empirical_rate != records[1].empirical_rate
+
+
+def test_compare_report_calls_decompose_on_every_call(monkeypatch, worked_model):
     calls = []
-    monkeypatch.setattr(montecarlo, "decompose", lambda inputs: calls.append(0) or decompose(inputs))
-    compare_report(short_run(worked_model), grid=g)
-    compare_report(short_run(worked_model, seed=1), grid=g)
-    assert len(calls) == 1
 
+    def counted(inputs):
+        calls.append((inputs.model, inputs.grid.n_points))
+        return decompose(inputs)
 
-def test_report_memo_keys_variances_grid_and_negative_zero(decompose_calls, worked_model):
+    monkeypatch.setattr(montecarlo, "decompose", counted)
     g = FrequencyGrid(256)
-    silent = replace(worked_model, output_disturbance=white(0.0))
-    runs = [
-        (worked_model, g),
-        (replace(worked_model, channel_noise=white(1.5)), g),
-        (replace(worked_model, output_disturbance=white(0.5)), g),
-        (silent, g),
-        (replace(worked_model, output_disturbance=white(-0.0)), g),
-        (replace(worked_model, plant=tf([-0.0, 1.0], [1.0, -2.0])), g),
-        (worked_model, FrequencyGrid(512)),
-    ]
-    for model, grid in runs:
-        compare_report(short_run(model), grid=grid)
-    assert len(decompose_calls) == len(runs)
-    # initial state, seed and length play no part
-    compare_report(short_run(replace(silent, initial_state=(0.3,)), seed=5), grid=g)
-    compare_report(SimulationConfig(silent, n_samples=2000, burn_in=64), grid=g)
-    assert len(decompose_calls) == len(runs)
+    for seed in (0, 1, 1):
+        compare_report(short_run(worked_model, seed), grid=g)
+    assert calls == [(worked_model, 256)] * 3
 
 
-def test_report_memo_keeps_the_last_sixteen_loops(decompose_calls, worked_model):
-    g = FrequencyGrid(64)
-    loops = [replace(worked_model, controller=tf([-2.0 + 0.01 * i])) for i in range(17)]
-    for model in loops:
-        compare_report(short_run(model), grid=g)
-    assert len(montecarlo._REPORTS) == montecarlo._MAPS_KEPT == 16
-    compare_report(short_run(loops[16]), grid=g)
-    assert len(decompose_calls) == 17  # the newest is kept
-    compare_report(short_run(loops[0]), grid=g)
-    assert len(decompose_calls) == 18  # the oldest was evicted
-
-
-def test_report_memo_warns_on_a_hit_as_on_a_miss(decompose_calls, worked_model):
+def test_off_exact_warning_comes_with_every_call(worked_model):
     model = replace(worked_model, output_disturbance=colored(1.0, tf([1.0], [1.0, -0.9999])))
     g = FrequencyGrid(512)
     messages = []
@@ -695,26 +658,24 @@ def test_report_memo_warns_on_a_hit_as_on_a_miss(decompose_calls, worked_model):
         with pytest.warns(RuntimeWarning, match="from the exact Jensen values") as caught:
             compare_report(short_run(model, seed), grid=g)
         messages += [str(w.message) for w in caught]
-    assert len(decompose_calls) == 1
     assert len(messages) == 2 and messages[0] == messages[1]
 
 
 @pytest.mark.parametrize(
-    "pole, gain, error, decomposed",
+    "pole, gain, error",
     # closed-loop pole 1.0001: 1088 samples grow by under 12%, so the
     # simulation passes and RateInputs refuses the loop; plant pole
     # 0.9999999: a closed-loop zero that decompose finds near-singular
-    [(0.5, 0.5001, UnstableLoopError, 0), (0.9999999, -0.5, SingularityError, 2)],
+    [(0.5, 0.5001, UnstableLoopError), (0.9999999, -0.5, SingularityError)],
     ids=["non-stabilizing", "near-singular"],
 )
-def test_report_memo_keeps_no_error(decompose_calls, pole, gain, error, decomposed):
+def test_compare_report_raises_on_every_call(pole, gain, error):
     model = LoopModel(
         tf([0.0, 1.0], [1.0, -pole]), tf([gain]), TF_ONE, white(1.0), white(1.0)
     )
-    for _ in range(2):
+    for seed in (0, 1):
         with pytest.raises(error):
-            compare_report(short_run(model), grid=FrequencyGrid(64))
-    assert len(decompose_calls) == decomposed and not montecarlo._REPORTS
+            compare_report(short_run(model, seed), grid=FrequencyGrid(64))
 
 
 # ---------------------------------------------------------------------------
