@@ -22,11 +22,27 @@ Spectra of the recorded trajectories are estimated with Welch's method,
 whose window is fixed at import, and pushed through the same log-integral
 engine as the analytic path, and each comparison checks them against
 decompose's total rate for the loop on the same grid.
+
+Each run and each estimate splits into halves that share no output, and one
+worker thread, started on first use and kept for the life of the process,
+runs one half while the calling thread runs the other (see _beside): every
+other block-row product of the run, and the w half of the Welch pair while
+the caller forms y's estimate. A half the worker has not started when the
+caller is done with its own, the caller runs itself. Each half makes the
+same numpy calls on the same operands as a serial run, whichever thread
+runs it, so every bit is unchanged. numpy keeps its
+error state per thread, so a worker task runs under the state of the thread
+that submitted it. A forked child starts its own worker, since the parent's
+thread does not survive the fork. The worker's Welch half calls no public
+name, so it leaves no span in a tracer that wraps them. decompose and the
+random draws stay on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -59,6 +75,57 @@ _MAPS_KEPT = 16  # block maps kept, for the last loop recursions used
 _HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(_SEGMENT) / _SEGMENT)
 _HANN.flags.writeable = False
 _HANN_POWER = np.sum(_HANN**2)
+
+_worker = None  # the ThreadPoolExecutor that runs one half of each op
+_worker_lock = threading.Lock()
+
+
+def _the_worker():
+    """The one worker thread, started on first use: concurrent.futures costs
+    about 8 ms to import, which a run with no simulation need not pay."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="loopinfo-montecarlo")
+        return _worker
+
+
+def _forget_worker() -> None:
+    """In a forked child: the inherited executor's thread is gone, so a task
+    submitted to it would never run. The next use starts a new one."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _with_errstate(state: dict, task):
+    with np.errstate(**state):
+        return task()
+
+
+def _beside(task, work):
+    """(task(), work()), with task on the worker thread and work on this one.
+
+    task runs under this thread's numpy error state. It must neither submit
+    to the worker nor wait on it. A task the worker has not started when
+    work ends, because it is busy with another caller's or not scheduled,
+    is taken back and run here. Otherwise its result is read, even when
+    work raises, so no task outlives the call that owns its operands;
+    work's error then wins over the task's.
+    """
+    future = _the_worker().submit(_with_errstate, np.geterr(), task)
+    try:
+        mine = work()
+    except BaseException:
+        if not future.cancel():
+            future.exception()  # waits for the task
+        raise
+    return (task() if future.cancel() else future.result()), mine
 
 
 @dataclass(frozen=True)
@@ -294,7 +361,8 @@ def _lifted_run(maps: _BlockMaps, x0: np.ndarray, sig: np.ndarray) -> None:
     earlier blocks' innovations carried through C^(j-1), ..., C^0: one
     product with a block-Toeplitz matrix of those powers, gathered here from
     the cached powers. Zero padding at the end never reaches an earlier
-    sample, because the recursion is causal.
+    sample, because the recursion is causal. The rows' products write
+    disjoint rows of sig, so every other one runs on the worker thread.
     """
     T = _BLOCK
     nx = len(x0)
@@ -326,9 +394,16 @@ def _lifted_run(maps: _BlockMaps, x0: np.ndarray, sig: np.ndarray) -> None:
     starts = sb @ toeplitz[: S * nx].T
     stacked[:, :nx] = starts.reshape(supers * S, nx)[:blocks]
 
-    for c, row in enumerate(maps.rows):
-        if row is not None:
-            np.matmul(stacked, row.T, out=sig[c].reshape(blocks, T))
+    # each product is one whole matmul: a split by rows would move bits
+    jobs = [
+        (row, sig[c].reshape(blocks, T)) for c, row in enumerate(maps.rows) if row is not None
+    ]
+    _beside(lambda: _products(stacked, jobs[::2]), lambda: _products(stacked, jobs[1::2]))
+
+
+def _products(stacked: np.ndarray, jobs) -> None:
+    for row, out in jobs:
+        np.matmul(stacked, row.T, out=out)
 
 
 def simulate_loop(cfg: SimulationConfig) -> TrajectorySet:
@@ -426,35 +501,44 @@ def welch_psd(x, grid: FrequencyGrid | None = None) -> SpectrumSamples:
     rounding, so there the estimate is even to rounding: about 1e-13
     relative, well inside SpectrumSamples' 1e-9.
     """
-    grid = grid or FrequencyGrid()
     x = np.asarray(x, dtype=float)
-    nseg = _SEGMENT
-    if x.ndim != 1 or len(x) < nseg:
+    if x.ndim != 1 or len(x) < _SEGMENT:
         raise InvalidInputError(
-            f"need a 1-d sequence of at least {nseg} samples, got shape {x.shape}"
+            f"need a 1-d sequence of at least {_SEGMENT} samples, got shape {x.shape}"
         )
+    return _on_grid(_welch_half(x), grid or FrequencyGrid())
+
+
+def _welch_half(x: np.ndarray) -> np.ndarray:
+    """welch_psd's normalized bins at omega = 0, ..., pi, for a checked x."""
+    nseg = _SEGMENT
     segs = np.lib.stride_tricks.sliding_window_view(x, nseg)[:: nseg // 2]
-    # The periodograms are formed a block of segments at a time, in two work
-    # buffers, which keeps the temporaries small. Each block's first row
+    # The periodograms are formed a block of segments at a time, in three
+    # work buffers, which keeps the temporaries small. Each block's first row
     # takes the running sum, and an axis-0 sum adds the rows one by one, so
     # every periodogram is added in segment order.
     rows = min(_WELCH_BLOCK // nseg, len(segs))
     windowed = np.empty((rows, nseg))
+    spectra = np.empty((rows, nseg // 2 + 1), dtype=complex)
     power = np.empty((rows, nseg // 2 + 1))
     half = np.zeros(nseg // 2 + 1)
     for lo in range(0, len(segs), rows):
         block = segs[lo : lo + rows]
         k = len(block)
         np.multiply(block, _HANN, out=windowed[:k])
-        block_power = np.abs(np.fft.rfft(windowed[:k], axis=-1), out=power[:k])
+        np.fft.rfft(windowed[:k], axis=-1, out=spectra[:k])
+        block_power = np.abs(spectra[:k], out=power[:k])
         np.square(block_power, out=block_power)
         block_power[0] += half
         np.sum(block_power, axis=0, out=half)
     half /= len(segs) * _HANN_POWER
+    return half
 
+
+def _on_grid(half: np.ndarray, grid: FrequencyGrid) -> SpectrumSamples:
     # the bins re-centred on [-pi, pi); negative frequencies mirror positive ones
     centered = np.concatenate([half[:0:-1], half[:-1]])
-    bin_omegas = FrequencyGrid(nseg).omegas
+    bin_omegas = FrequencyGrid(_SEGMENT).omegas
     vals = np.interp(grid.omegas, bin_omegas, centered, period=2.0 * np.pi)
     return _owned(SpectrumSamples, grid, vals)
 
@@ -468,8 +552,10 @@ def empirical_directed_info(
 
 
 def _empirical_detail(traj, grid) -> tuple[float, int]:
-    sy = welch_psd(traj.y, grid)
-    sw = welch_psd(traj.w, grid)
+    # w's bins on the worker, through the private half of welch_psd, while
+    # y's estimate is formed here; w is as long as y, so y's check covers it
+    w_half, sy = _beside(lambda: _welch_half(traj.w), lambda: welch_psd(traj.y, grid))
+    sw = _on_grid(w_half, grid)
     floored = int(np.sum(sy.values < PSD_FLOOR) + np.sum(sw.values < PSD_FLOOR))
     if floored:
         warnings.warn(
@@ -502,13 +588,21 @@ def compare_report(
 ) -> ComparisonRecord:
     """Simulate, estimate the rate, and compare with the analytic value.
 
-    The simulation runs first, so a non-stabilizing configuration surfaces
-    as a divergence error before any analytic work. The analytic rate is
-    decompose's total rate for the loop on the same grid, formed on every
-    call, so its off-exact warning and its errors come with every call.
+    A record too short for one Welch segment after burn-in is refused before
+    anything runs. The simulation runs first, so a non-stabilizing
+    configuration surfaces as a divergence error before any analytic work.
+    The analytic rate is decompose's total rate for the loop on the same
+    grid, formed on every call on the calling thread, so its off-exact
+    warning and its errors come with every call.
     """
     if not (tolerance >= 0.0):
         raise InvalidInputError(f"tolerance must be >= 0, got {tolerance!r}")
+    kept = cfg.n_samples - cfg.burn_in
+    if kept < _SEGMENT:
+        raise InvalidInputError(
+            f"need n_samples - burn_in >= {_SEGMENT}, one Welch segment; got "
+            f"n_samples={cfg.n_samples}, burn_in={cfg.burn_in} ({kept} samples)"
+        )
     grid = grid or FrequencyGrid()
     traj = simulate_loop(cfg)
     empirical, floored = _empirical_detail(traj, grid)

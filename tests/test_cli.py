@@ -340,6 +340,20 @@ def test_simulate_impossible_tolerance_exits_3(loop_config):
     assert json.loads(res.stdout)["passed"] is False
 
 
+def test_simulate_refuses_a_record_shorter_than_one_welch_segment(loop_config, tmp_path):
+    cfg = json.loads(loop_config.read_text())
+    cfg["options"]["n_samples"] = 5000
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(cfg))
+    res = run_cli("simulate", str(path))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == (
+        "error: need n_samples - burn_in >= 1024, one Welch segment; "
+        "got n_samples=5000, burn_in=4096 (904 samples)\n"
+    )
+
+
 def test_simulate_divergence_exits_2(tmp_path):
     cfg = {
         "plant": {"num": [0.0, 1.0], "den": [1.0, -2.0]},

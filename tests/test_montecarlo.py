@@ -7,7 +7,8 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+import threading
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -923,6 +924,25 @@ def test_compare_report_rel_gap_none_when_rate_is_zero():
     assert rec.passed
 
 
+@pytest.mark.parametrize("n_samples, burn_in", [(5000, 4096), (1087, 64)])
+def test_compare_report_refuses_a_short_record_before_simulating(
+    monkeypatch, worked_model, n_samples, burn_in
+):
+    def never(cfg):
+        raise AssertionError("simulated a record too short to estimate")
+
+    monkeypatch.setattr(montecarlo, "simulate_loop", never)
+    cfg = SimulationConfig(worked_model, n_samples=n_samples, burn_in=burn_in)
+    kept = n_samples - burn_in
+    message = (
+        "need n_samples - burn_in >= 1024, one Welch segment; "
+        f"got n_samples={n_samples}, burn_in={burn_in} ({kept} samples)"
+    )
+    with pytest.raises(InvalidInputError) as err:
+        compare_report(cfg)
+    assert str(err.value) == message
+
+
 def test_compare_report_surfaces_divergence_before_analysis():
     m = LoopModel(
         tf([0.0, 1.0], [1.0, -2.0]), tf([-0.1]), TF_ONE, white(1.0), white(1.0)
@@ -942,3 +962,109 @@ def test_gap_shrinks_with_record_length():
             gs.append(rec.abs_gap)
         gaps[n] = float(np.median(gs))
     assert gaps[2**17] < 0.5 * gaps[2**14]
+
+
+# ---------------------------------------------------------------------------
+# the worker thread: half of each op's products and Welch pair, bit for bit
+
+
+def _record_hex(rec):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in asdict(rec).items()}
+
+
+def test_concurrent_callers_get_the_serial_records(worked_model):
+    cfgs = [
+        SimulationConfig(model, n_samples=2**14, seed=seed)
+        for seed, model in enumerate(
+            (worked_model, colored_v_loop(), order8_loop(), open_loop(sigma_v2=0.5))
+        )
+    ]
+    grid = FrequencyGrid(1024)
+    serial = [_record_hex(compare_report(cfg, grid=grid)) for cfg in cfgs]
+    got, errors = [None] * len(cfgs), []
+
+    def caller(i):
+        try:
+            for _ in range(3):
+                got[i] = _record_hex(compare_report(cfgs[i], grid=grid))
+                assert got[i] == serial[i]
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(cfgs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert got == serial
+
+
+# Simulates, forks, and simulates again in the child, which must start its
+# own worker: the parent's thread is not copied into it. Prints whether the
+# child's digest is the parent's, then the child's exit code.
+_FORKED_DIGEST = """
+import hashlib, os, sys, time
+from loopinfo import LoopModel, SimulationConfig, colored, simulate_loop, tf, white
+
+model = LoopModel(
+    tf([0.0, 1.0], [1.0, -2.0]), tf([-2.0]), tf([1.0]), white(1.0),
+    colored(0.7, tf([1.0, 0.5], [1.0, -0.9])),
+)
+cfg = SimulationConfig(model, n_samples=2**14, seed=4)
+
+
+def digest():
+    traj = simulate_loop(cfg)
+    h = hashlib.sha256()
+    for name in "ywvzu":
+        h.update(getattr(traj, name).tobytes())
+    return h.hexdigest()
+
+
+mine = digest()
+r, w = os.pipe()
+pid = os.fork()
+if pid == 0:
+    os.write(w, digest().encode())
+    os._exit(0)
+os.close(w)
+deadline = time.monotonic() + 30
+while True:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        break
+    if time.monotonic() > deadline:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        sys.exit("the forked child did not finish its simulation")
+    time.sleep(0.01)
+print(os.read(r, 64).decode() == mine, os.waitstatus_to_exitcode(status))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_simulates_with_its_own_worker():
+    proc = subprocess.run(
+        [sys.executable, "-c", _FORKED_DIGEST], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "0"]
+
+
+def test_cli_import_starts_no_thread():
+    code = (
+        "import sys, threading, loopinfo.cli; "
+        "print(threading.active_count(), 'concurrent.futures' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "False"]
