@@ -24,18 +24,17 @@ engine as the analytic path, and each comparison checks them against
 decompose's total rate for the loop on the same grid.
 
 Each run and each estimate splits into halves that share no output, and one
-worker thread, started on first use and kept for the life of the process,
-runs one half while the calling thread runs the other (see _beside): every
-other block-row product of the run, and the w half of the Welch pair while
-the caller forms y's estimate. A half the worker has not started when the
-caller is done with its own, the caller runs itself. Each half makes the
-same numpy calls on the same operands as a serial run, whichever thread
-runs it, so every bit is unchanged. numpy keeps its
-error state per thread, so a worker task runs under the state of the thread
-that submitted it. A forked child starts its own worker, since the parent's
-thread does not survive the fork. The worker's Welch half calls no public
-name, so it leaves no span in a tracer that wraps them. decompose and the
-random draws stay on the calling thread.
+worker thread, a daemon started on first use and kept for the life of the
+process, runs one half while the calling thread runs the other (see
+_beside): every other block-row product of the run, and the w half of the
+Welch pair while the caller forms y's estimate. Each half makes the same
+numpy calls on the same operands as a serial run, whichever thread runs it,
+so every bit is unchanged. numpy keeps its error state per thread, so a
+worker task runs under the state of the thread that submitted it. A forked
+child starts its own worker, since the parent's thread does not survive the
+fork; where no thread can be started, the caller runs both halves. The
+worker's Welch half calls no public name, so it leaves no span in a tracer
+that wraps them. decompose and the random draws stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -76,25 +76,42 @@ _HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(_SEGMENT) / _SEGMENT)
 _HANN.flags.writeable = False
 _HANN_POWER = np.sum(_HANN**2)
 
-_worker = None  # the ThreadPoolExecutor that runs one half of each op
+_worker = None  # the task queue of the thread that runs one half of each op
 _worker_lock = threading.Lock()
 
 
-def _the_worker():
-    """The one worker thread, started on first use: concurrent.futures costs
-    about 8 ms to import, which a run with no simulation need not pay."""
+def _serve(tasks: SimpleQueue) -> None:
+    while True:
+        tasks.get()()
+
+
+def _worker_tasks() -> SimpleQueue | None:
+    """The worker's task queue, or None where no thread can be started.
+
+    The worker is one daemon thread, started on first use and kept for the
+    life of the process: a thread started per call pays its first matrix
+    product and first buffers again, about 0.7 ms a call. As a daemon it
+    keeps serving callers that outlive the main thread, and atexit hooks.
+    Python 3.12 refuses a new thread once the interpreter is shutting down.
+    """
     global _worker
     with _worker_lock:
         if _worker is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="loopinfo-montecarlo")
+            tasks = SimpleQueue()
+            thread = threading.Thread(
+                target=_serve, args=(tasks,), name="loopinfo-montecarlo", daemon=True
+            )
+            try:
+                thread.start()
+            except RuntimeError:
+                return None
+            _worker = tasks
         return _worker
 
 
 def _forget_worker() -> None:
-    """In a forked child: the inherited executor's thread is gone, so a task
-    submitted to it would never run. The next use starts a new one."""
+    """In a forked child, which has neither the worker thread nor, if another
+    thread held it at the fork, a usable lock: the next use starts both."""
     global _worker, _worker_lock
     _worker, _worker_lock = None, threading.Lock()
 
@@ -103,29 +120,42 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _with_errstate(state: dict, task):
-    with np.errstate(**state):
-        return task()
-
-
 def _beside(task, work):
     """(task(), work()), with task on the worker thread and work on this one.
 
-    task runs under this thread's numpy error state. It must neither submit
-    to the worker nor wait on it. A task the worker has not started when
-    work ends, because it is busy with another caller's or not scheduled,
-    is taken back and run here. Otherwise its result is read, even when
-    work raises, so no task outlives the call that owns its operands;
-    work's error then wins over the task's.
+    task runs under this thread's numpy error state, its modes and its
+    callback, which numpy keeps per thread. It must neither submit to the
+    worker nor wait on it. Its end is awaited even when work raises, so no
+    task outlives the call that owns its operands; work's error then wins
+    over the task's. Where no worker can be started, this thread runs work
+    and then task.
     """
-    future = _the_worker().submit(_with_errstate, np.geterr(), task)
+    state = dict(np.geterr(), call=np.geterrcall())
+    outcome = {}
+    ended = threading.Lock()
+    ended.acquire()
+
+    def run():
+        try:
+            with np.errstate(**state):
+                outcome["value"] = task()
+        except BaseException as exc:  # raised again on the calling thread
+            outcome["error"] = exc
+        finally:
+            ended.release()
+
+    tasks = _worker_tasks()
+    if tasks is None:
+        mine = work()
+        return task(), mine
+    tasks.put(run)
     try:
         mine = work()
-    except BaseException:
-        if not future.cancel():
-            future.exception()  # waits for the task
-        raise
-    return (task() if future.cancel() else future.result()), mine
+    finally:
+        ended.acquire()
+    if "error" in outcome:
+        raise outcome.pop("error")
+    return outcome["value"], mine
 
 
 @dataclass(frozen=True)
@@ -513,21 +543,19 @@ def _welch_half(x: np.ndarray) -> np.ndarray:
     """welch_psd's normalized bins at omega = 0, ..., pi, for a checked x."""
     nseg = _SEGMENT
     segs = np.lib.stride_tricks.sliding_window_view(x, nseg)[:: nseg // 2]
-    # The periodograms are formed a block of segments at a time, in three
-    # work buffers, which keeps the temporaries small. Each block's first row
+    # The periodograms are formed a block of segments at a time, in two work
+    # buffers, which keeps the temporaries small. Each block's first row
     # takes the running sum, and an axis-0 sum adds the rows one by one, so
     # every periodogram is added in segment order.
     rows = min(_WELCH_BLOCK // nseg, len(segs))
     windowed = np.empty((rows, nseg))
-    spectra = np.empty((rows, nseg // 2 + 1), dtype=complex)
     power = np.empty((rows, nseg // 2 + 1))
     half = np.zeros(nseg // 2 + 1)
     for lo in range(0, len(segs), rows):
         block = segs[lo : lo + rows]
         k = len(block)
         np.multiply(block, _HANN, out=windowed[:k])
-        np.fft.rfft(windowed[:k], axis=-1, out=spectra[:k])
-        block_power = np.abs(spectra[:k], out=power[:k])
+        block_power = np.abs(np.fft.rfft(windowed[:k], axis=-1), out=power[:k])
         np.square(block_power, out=block_power)
         block_power[0] += half
         np.sum(block_power, axis=0, out=half)

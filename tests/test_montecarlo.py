@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -1068,3 +1069,93 @@ def test_cli_import_starts_no_thread():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "False"]
+
+
+def test_the_worker_runs_under_the_callers_error_state():
+    calls = []
+    with np.errstate(over="call", call=lambda kind, flag: calls.append(kind)):
+        big, _ = montecarlo._beside(lambda: np.float64(1e300) * 1e300, lambda: None)
+    assert big == np.inf
+    assert calls == ["overflow"]
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        montecarlo._beside(lambda: np.float64(1e300) * 1e300, lambda: None)
+
+
+def test_the_callers_error_wins_after_the_task_has_ended():
+    ended = []
+
+    def task():
+        time.sleep(0.05)
+        ended.append(threading.current_thread().name)
+        raise ValueError("the task's")
+
+    def work():
+        raise KeyError("the caller's")
+
+    with pytest.raises(KeyError):
+        montecarlo._beside(task, work)
+    assert ended == ["loopinfo-montecarlo"]
+    with pytest.raises(ValueError, match="the task's"):
+        montecarlo._beside(task, lambda: None)
+
+
+def test_the_caller_runs_both_halves_where_no_thread_starts(monkeypatch):
+    def refuse(thread):
+        raise RuntimeError("can't create new thread at interpreter shutdown")
+
+    order = []
+    monkeypatch.setattr(montecarlo, "_worker", None)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    got = montecarlo._beside(lambda: order.append("task") or 1, lambda: order.append("work") or 2)
+    assert got == (1, 2)
+    assert order == ["work", "task"]
+    cfg = SimulationConfig(colored_v_loop(), n_samples=2**13, seed=2)
+    grid = FrequencyGrid(256)
+    alone = _record_hex(compare_report(cfg, grid=grid))
+    monkeypatch.undo()
+    assert alone == _record_hex(compare_report(cfg, grid=grid))
+
+
+# Compares after the main thread has returned: from a thread that outlives
+# it, and from an atexit hook. Each prints its record's empirical rate.
+_AFTER_MAIN = """
+import atexit, threading
+from loopinfo import LoopModel, SimulationConfig, colored, compare_report, tf, white
+from loopinfo.spectral import FrequencyGrid
+
+model = LoopModel(
+    tf([0.0, 1.0], [1.0, -2.0]), tf([-2.0]), tf([1.0]), white(1.0),
+    colored(0.7, tf([1.0, 0.5], [1.0, -0.9])),
+)
+cfg = SimulationConfig(model, n_samples=2**13, seed=3)
+grid = FrequencyGrid(256)
+started = threading.Event()
+
+
+def late(name):
+    print(name, compare_report(cfg, grid=grid).empirical_rate.hex(), flush=True)
+
+
+def outlives_main():
+    started.set()
+    threading.main_thread().join()
+    for _ in range(2):
+        late("thread")
+
+
+atexit.register(late, "atexit")
+threading.Thread(target=outlives_main).start()
+started.wait()
+late("main")
+"""
+
+
+def test_compare_report_works_after_the_main_thread_returns():
+    proc = subprocess.run(
+        [sys.executable, "-c", _AFTER_MAIN], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [name for name, _ in lines] == ["main", "thread", "thread", "atexit"]
+    assert len({rate for _, rate in lines}) == 1
