@@ -23,18 +23,25 @@ whose window is fixed at import, and pushed through the same log-integral
 engine as the analytic path, and each comparison checks them against
 decompose's total rate for the loop on the same grid.
 
+Each noise source draws its innovations from its own Philox counter
+stream, keyed by the seed: w from Philox(seed), v from Philox(seed) jumped
+once, a stream that cannot overlap w's (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011). A source's innovations then depend
+only on the seed and the source, and the two draws need no order.
+
 Each run and each estimate splits into halves that share no output, and one
 worker thread, a daemon started on first use and kept for the life of the
 process, runs one half while the calling thread runs the other (see
-_beside): every other block-row product of the run, and the w half of the
-Welch pair while the caller forms y's estimate. Each half makes the same
-numpy calls on the same operands as a serial run, whichever thread runs it,
-so every bit is unchanged. numpy keeps its error state per thread, so a
-worker task runs under the state of the thread that submitted it. A forked
-child starts its own worker, since the parent's thread does not survive the
-fork; where no thread can be started, the caller runs both halves. The
-worker's Welch half calls no public name, so it leaves no span in a tracer
-that wraps them. decompose and the random draws stay on the calling thread.
+_beside): v's draw while the caller draws w, every other block-row product
+of the run, and the w half of the Welch pair while the caller forms y's
+estimate. Each half makes the same numpy calls on the same operands as a
+serial run, whichever thread runs it, so every bit is the same on either
+thread. numpy keeps its error state per thread, so a worker task runs under
+the state of the thread that submitted it. A forked child starts its own
+worker, since the parent's thread does not survive the fork; where no thread
+can be started, the caller runs both halves, w's draw before v's. The
+worker's draw and Welch half call no public name, so they leave no span in
+a tracer that wraps them. decompose stays on the calling thread.
 """
 
 from __future__ import annotations
@@ -436,18 +443,42 @@ def _products(stacked: np.ndarray, jobs) -> None:
         np.matmul(stacked, row.T, out=out)
 
 
+def _draw(seed: int, stream: int, out: np.ndarray, variance: float) -> None:
+    """One source's innovations, written into out: sqrt(variance) times
+    standard normals from the source's own counter stream, Philox(seed)
+    jumped stream times. A jump moves the counter as if 2^128 draws had been
+    taken, so no two streams of a seed overlap, and each thread that draws
+    owns its generator. A silent source takes no draw: its innovations, and
+    so its signal, are +0.0."""
+    if variance > 0.0:
+        bits = np.random.Philox(seed)
+        rng = np.random.Generator(bits.jumped(stream) if stream else bits)
+        rng.standard_normal(out=out)
+        out *= math.sqrt(variance)
+    else:
+        out.fill(0.0)
+
+
 def simulate_loop(cfg: SimulationConfig) -> TrajectorySet:
     """Run the loop recursion and record post-burn-in trajectories.
 
     Per sample: u solves the loop's algebraic constraint in closed form,
     because the feedthrough product of P, H and K is zero, and then P, H and
-    K are stepped in that order (see _loop_step); noise innovations are drawn
-    once up front (w first, then v) from a Philox stream keyed by the seed,
-    so trajectories are bit-reproducible for a given seed. A silent source's
-    innovations are +0.0: a silent w is still drawn, since v's draw follows
-    it, and a silent v takes no draw. The recursion is advanced 64 samples
-    at a time (see _lifted_run), through block maps built once per loop
-    recursion and kept for the last _MAPS_KEPT (16) recursions used.
+    K are stepped in that order (see _loop_step). Each noise source draws
+    its innovations once up front from its own Philox stream keyed by the
+    seed: w from Philox(seed), v from Philox(seed).jumped() (see _draw). So
+    trajectories are bit-reproducible for a given seed, and a source's
+    innovations depend only on the seed and the source: not on the other
+    source, the shaping filters, P, H or K. The two draws run side by side,
+    v's on the worker thread (see _beside). A silent source takes no draw;
+    its innovations are +0.0. The recursion is advanced 64 samples at a time
+    (see _lifted_run), through block maps built once per loop recursion and
+    kept for the last _MAPS_KEPT (16) recursions used.
+
+    Records from versions before the per-source streams, which drew w and
+    then v from one Philox(seed) stream, are reproduced where v is silent;
+    w is reproduced in every record. A record with a loud v is another
+    realisation: its v, and so its y, z and u, differ.
     """
     model = cfg.model
     n = cfg.n_samples
@@ -468,20 +499,12 @@ def simulate_loop(cfg: SimulationConfig) -> TrajectorySet:
     blocks = -(-n // _BLOCK)
     sig = np.empty((4, blocks * _BLOCK))  # the innovations, then the signals
     sig[:2, n:] = 0.0  # the innovations' padding; the products write z and u in full
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    w_eps, v_eps = sig[0, :n], sig[1, :n]
     w_var, v_var = model.channel_noise.variance, model.output_disturbance.variance
-    # a silent source's innovations, and so its signal, are +0.0
-    rng.standard_normal(out=w_eps)  # drawn even when silent: v's draw follows
-    if w_var > 0.0:
-        w_eps *= math.sqrt(w_var)
-    else:
-        w_eps.fill(0.0)
-    if v_var > 0.0:
-        rng.standard_normal(out=v_eps)
-        v_eps *= math.sqrt(v_var)
-    else:
-        v_eps.fill(0.0)
+    # v's innovations on the worker while w's are drawn here (see _draw)
+    _beside(
+        lambda: _draw(cfg.seed, 1, sig[1, :n], v_var),
+        lambda: _draw(cfg.seed, 0, sig[0, :n], w_var),
+    )
     limit = DIVERGENCE_LIMIT
     with np.errstate(all="ignore"):
         _lifted_run(maps, x0, sig)

@@ -10,9 +10,11 @@ import sys
 import threading
 import time
 from dataclasses import asdict, replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from loopinfo import (
@@ -308,14 +310,21 @@ class _ScalarDf2t:
         return y
 
 
+def source_draws(seed, n):
+    """Each source's n standard normals for a seed, w's then v's: w draws
+    from Philox(seed), v from Philox(seed).jumped(), a stream of its own."""
+    bits = np.random.Philox(seed)
+    return [np.random.Generator(b).standard_normal(n) for b in (bits, bits.jumped())]
+
+
 def per_sample_oracle(cfg):
     """The loop recursion one sample at a time: the reference the block
     runner must reproduce. Returns the full-length signals y, w, v, z, u."""
     model, n = cfg.model, cfg.n_samples
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
     noise = []
-    for spec in (model.channel_noise, model.output_disturbance):
-        driven = math.sqrt(spec.variance) * rng.standard_normal(n)
+    specs = (model.channel_noise, model.output_disturbance)
+    for spec, eps in zip(specs, source_draws(cfg.seed, n)):
+        driven = math.sqrt(spec.variance) * eps
         if spec.shaping != TF_ONE:
             step = _ScalarDf2t(spec.shaping).step
             driven = np.array([step(x) for x in driven.tolist()])
@@ -684,15 +693,10 @@ def test_compare_report_raises_on_every_call(pole, gain, error):
 # source rows: innovations that need no product, and draws that are skipped
 
 
-def philox_draws(seed, n, count=2):
-    rng = np.random.Generator(np.random.Philox(seed))
-    return [rng.standard_normal(n) for _ in range(count)]
-
-
 def test_white_source_rows_are_the_scaled_draws(worked_model):
     model = replace(worked_model, channel_noise=white(1.3), output_disturbance=white(0.7))
     traj = simulate_loop(SimulationConfig(model, n_samples=4100, burn_in=0, seed=6))
-    ew, ev = philox_draws(6, 4100)
+    ew, ev = source_draws(6, 4100)
     assert traj.w.tobytes() == (math.sqrt(1.3) * ew).tobytes()
     assert traj.v.tobytes() == (math.sqrt(0.7) * ev).tobytes()
 
@@ -727,9 +731,9 @@ def test_silent_v_is_positive_zero_in_a_reused_buffer(worked_model):
 # inside a block; the block products run through BLAS, so another build may
 # move their last digits
 _PADDED_DIGESTS = {
-    ("colored-v", 4100): "e27359d434093c9b9918860a0b9ecef620b5586f7a12767f3a250288546811be",
-    ("colored-v", 4113): "5dd3696003369d5de1118ee7785b74e43bf1fd86c64171fe35394efd0f49ce4d",
-    ("colored-v", 5000): "07c1973f819ae9975821ce43a43d2721b72520089bd7d5bf644e60b2112d0144",
+    ("colored-v", 4100): "d260302b93a43668cc2b0382a4d4a7db8f3093102b4966556c4a69afb9c664fe",
+    ("colored-v", 4113): "d1977f1389d09605f5c58cdb8af1579ea4aa236922666c7927dfb1cccd202871",
+    ("colored-v", 5000): "5e9863905b806dcadd2436c3f6399ca45edbaf8d1d55aba80d07997c6151cbd9",
     ("silent-v", 4100): "25f559709de9b382ab8553ed73fbe090621d0858205ba39cdf35b1e0937220d9",
     ("silent-v", 4113): "1d88a2829ef91adebf41bd4c6a30fa1c81f72b849e6ef144ef40a0676d592433",
     ("silent-v", 5000): "605b7b681c24cef09428494e7c411dd5b79477b46093ed42a3b627371d66d5c1",
@@ -747,13 +751,64 @@ def test_records_ending_inside_a_block_are_pinned(worked_model, loop, n_samples)
     assert digest.hexdigest() == _PADDED_DIGESTS[loop, n_samples]
 
 
-def test_silent_white_w_still_advances_the_stream(worked_model):
+def test_silent_white_w_takes_no_draw(worked_model):
     loud, quiet = (
         simulate_loop(SimulationConfig(model, n_samples=4100, burn_in=0, seed=8))
         for model in (worked_model, replace(worked_model, channel_noise=white(0.0)))
     )
-    assert quiet.v.tobytes() == loud.v.tobytes() == philox_draws(8, 4100)[1].tobytes()
+    assert quiet.v.tobytes() == loud.v.tobytes() == source_draws(8, 4100)[1].tobytes()
     assert not np.any(quiet.w) and not np.any(np.signbit(quiet.w))
+
+
+def drawn_innovations(model, seed, n=4100):
+    """The innovations of w and of v that simulate_loop hands to the block
+    runner, before any shaping filter or loop element acts on them."""
+    seen = []
+    run = montecarlo._lifted_run
+
+    def spy(maps, x0, sig):
+        seen.append(sig[:2, :n].copy())
+        run(maps, x0, sig)
+
+    with mock.patch.object(montecarlo, "_lifted_run", spy):
+        simulate_loop(SimulationConfig(model, n_samples=n, burn_in=0, seed=seed))
+    return seen[0]
+
+
+# (P, K, H) with the strictly proper element in P, in K and in H, and the open loop
+_LOOPS = (
+    (tf([0.0, 1.0], [1.0, -2.0]), tf([-2.0]), TF_ONE),
+    (tf([0.5, 1.0], [1.0, -0.5]), tf([0.0, -0.3], [1.0, 0.2]), TF_ONE),
+    (tf([0.5, 1.0], [1.0, -0.5]), tf([-0.3, 0.1], [1.0, 0.2]), tf([0.0, 1.0], [1.0, -0.1])),
+    (TF_ZERO, TF_ZERO, TF_ONE),
+)
+_W = (white(1.0), white(0.3), white(0.0), COLORED_W, colored(0.0, COLORED_W.shaping))
+_V = (white(1.0), white(0.7), white(0.0), COLORED_V, colored(0.0, COLORED_V.shaping))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(_LOOPS), st.sampled_from(_LOOPS),
+    st.sampled_from(_W), st.sampled_from(_W),
+    st.sampled_from(_V), st.sampled_from(_V),
+)
+def test_a_sources_innovations_depend_only_on_the_seed_and_the_source(
+    seed, loop, other_loop, w, other_w, v, other_v
+):
+    """Each source's innovations are the root of its variance times its own
+    stream's normals, or +0.0 when silent. w's stream is Philox(seed), so a
+    loud w keeps the bits it had when w and v shared that stream."""
+    base = drawn_innovations(LoopModel(*loop, w, v), seed)
+    # v's bytes under another w (silent included), w shaping, P, K and H
+    moved_w = drawn_innovations(LoopModel(*other_loop, other_w, v), seed)
+    assert base[1].tobytes() == moved_w[1].tobytes()
+    # w's bytes under another v
+    moved_v = drawn_innovations(LoopModel(*loop, w, other_v), seed)
+    assert base[0].tobytes() == moved_v[0].tobytes()
+    for row, spec, eps in zip(base, (w, v), source_draws(seed, 4100)):
+        want = math.sqrt(spec.variance) * eps if spec.variance > 0.0 else np.zeros(4100)
+        assert row.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -954,11 +1009,14 @@ def test_compare_report_surfaces_divergence_before_analysis():
 
 def test_gap_shrinks_with_record_length():
     """Median agreement gap drops roughly like the inverse square root of the
-    number of averaged segments; 8x the data must at least halve it."""
+    number of averaged segments; 8x the data must at least halve it. The
+    medians are over 40 seeds, whose ratio reads 0.34 against 1/sqrt(8),
+    about 0.35: over 5, the disjoint groups among seeds 0-39 read from 0.10
+    to 2.90, and 4 of the 8 fail the bound."""
     gaps = {}
     for n in (2**14, 2**17):
         gs = []
-        for seed in range(5):
+        for seed in range(40):
             rec = compare_report(SimulationConfig(open_loop(), n_samples=n, seed=seed))
             gs.append(rec.abs_gap)
         gaps[n] = float(np.median(gs))
