@@ -355,7 +355,9 @@ def controller_independence_check(
                 raise InvalidInputError(f"controller #{i}: |f_wy|^2 or |f_vy|^2 is not finite")
             _reject_near_singular(_first_low("|f_wy|^2", fwy2[:m], omegas), omegas)
             _f_ratio_form(sw, sv, fwy2[:m], fvy2[:m], omegas, head)
-            del fwy2, fvy2  # freed before the next controller's are formed
+            # the candidate's closed loop alone keeps them now, so they are
+            # freed when the next candidate replaces it, before its own are formed
+            del fwy2, fvy2
             term = _mean(_mirror(scratch))
             _require_forms_agree(simplified, term)
             terms.append(term)

@@ -423,10 +423,21 @@ class ClosedLoop:
 
     f_wy: channel noise w -> loop output y, equal to 1/(1 - L).
     f_vy: output disturbance v -> loop output y, equal to H/(1 - L).
+
+    Being immutable, it keeps the squared gains |f_wy|^2 and |f_vy|^2 on the
+    unit circle once formed, one read-only pair per grid size (see
+    spectral._closed_loop_gains).
     """
 
     f_wy: TransferFunction
     f_vy: TransferFunction
+
+    @cached_property
+    def _gains(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """The squared gains per grid size, filled on first use and freed
+        with the closed loop; threads racing to fill an entry each form the
+        same bits."""
+        return {}
 
     @property
     def closed_loop_poles(self) -> tuple[complex, ...]:
@@ -445,7 +456,9 @@ class ClosedLoop:
 
 
 def close_loop(model: LoopModel) -> ClosedLoop:
-    """The closed-loop transfer functions, formed once per model.
+    """The closed-loop transfer functions, formed once per model: every call
+    returns the one ClosedLoop, whose squared gains on a grid are formed
+    once and shared, read-only, by every spectrum computed from it.
 
     F_vy's numerator H.num * P.den * K.den is not part of the loop gain
     formed when the model is built, so it can exceed the float range on a

@@ -56,7 +56,7 @@ from queue import SimpleQueue
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidInputError, _check_int
+from .errors import DivergenceError, InvalidInputError, _check_int, _real_array
 from .lti import TF_ONE, LoopModel, TransferFunction
 from .spectral import (
     FrequencyGrid,
@@ -188,7 +188,8 @@ class TrajectorySet:
     sample_count. y = z + w holds exactly at every sample.
 
     The signals are read-only. The constructor copies the arrays a caller
-    passes and checks them, so changing them later changes nothing here.
+    passes and checks them, so changing them later changes nothing here; a
+    complex signal raises InvalidInputError, naming it.
     simulate_loop hands over the arrays it has just formed, through _owned,
     which makes them read-only but neither copies nor re-checks them: that
     routine's own construction proves each check (see _adopt).
@@ -202,7 +203,9 @@ class TrajectorySet:
     seed: int
 
     def __init__(self, y, w, v, z, u, seed):
-        y, w, v, z, u = (np.array(s, dtype=float) for s in (y, w, v, z, u))
+        y, w, v, z, u = (
+            _real_array(s, f"signal {name}") for name, s in zip("ywvzu", (y, w, v, z, u))
+        )
         for name, arr in zip("ywvzu", (y, w, v, z, u)):
             if arr.ndim != 1 or len(arr) != len(y):
                 raise InvalidInputError(
@@ -552,9 +555,10 @@ def welch_psd(x, grid: FrequencyGrid | None = None) -> SpectrumSamples:
     A finer grid's samples are interpolated between bins, and np.interp's
     periodic reduction shifts each negative omega and bin by 2 pi, with a
     rounding, so there the estimate is even to rounding: about 1e-13
-    relative, well inside SpectrumSamples' 1e-9.
+    relative, well inside SpectrumSamples' 1e-9. A complex x raises
+    InvalidInputError.
     """
-    x = np.asarray(x, dtype=float)
+    x = _real_array(x, "sequence x", copy=False)
     if x.ndim != 1 or len(x) < _SEGMENT:
         raise InvalidInputError(
             f"need a 1-d sequence of at least {_SEGMENT} samples, got shape {x.shape}"

@@ -24,6 +24,7 @@ from .errors import (
     UnstableLoopError,
     _check_int,
     _raise_at_sample,
+    _real_array,
 )
 from .lti import (
     TF_ONE,
@@ -91,10 +92,11 @@ class SpectrumSamples:
 
     values is read-only and owned by the spectrum. The constructor copies
     the values a caller passes, so changing the caller's array later changes
-    nothing here. The library's own spectra (noise_psd, output_psd,
-    LoopSpectra.sy, sensitivity_ratio, welch_psd and its floored copies in
-    the empirical rate) are built by _owned from arrays just formed for them
-    and referenced nowhere else.
+    nothing here; complex values raise InvalidInputError. The library's own
+    spectra (noise_psd, output_psd, LoopSpectra.sy, sensitivity_ratio,
+    welch_psd and its floored copies in the empirical rate) are built by
+    _owned from arrays just formed for them and referenced nowhere else;
+    noise_psd's is then kept on its NoiseSpec and shared.
 
     The values are checked in order: finite, nonnegative, then even, sample k
     matching its mirror n - k within 1e-300 + 1e-9 times the mirror. An
@@ -108,7 +110,7 @@ class SpectrumSamples:
     values: np.ndarray
 
     def __init__(self, grid: FrequencyGrid, values):
-        self._adopt(grid, np.array(values, dtype=float))
+        self._adopt(grid, _real_array(values, "spectrum values"))
 
     def _adopt(self, grid: FrequencyGrid, v: np.ndarray) -> None:
         if v.shape != (grid.n_points,):
@@ -153,7 +155,8 @@ class NoiseSpec:
     """Stationary Gaussian source: white noise of the given variance through
     a stable shaping filter, TF_ONE for a white source. Zero variance is
     allowed (a silent source); operations that need a strictly positive
-    spectrum reject it at call time.
+    spectrum reject it at call time. Being immutable, it keeps the PSD that
+    noise_psd forms, once per grid size.
     """
 
     variance: float
@@ -171,6 +174,13 @@ class NoiseSpec:
             raise InvalidInputError(
                 f"shaping filter has poles on/outside the unit circle: {unstable}"
             )
+
+    @cached_property
+    def _psd(self) -> dict[int, "SpectrumSamples"]:
+        """noise_psd's spectrum per grid size, filled on first use and freed
+        with the spec; dataclasses.replace builds a spec with an empty one.
+        Threads racing to fill an entry each form the same bits."""
+        return {}
 
 
 def white(variance: float) -> NoiseSpec:
@@ -208,13 +218,21 @@ def noise_psd(spec: NoiseSpec, grid: FrequencyGrid) -> SpectrumSamples:
     """PSD of the source on the grid: sigma^2 * |G|^2, exactly even (see
     squared_gain). A shaping filter with |G|^2 <= 1e-18 somewhere on the grid
     vanishes on the unit circle, a silent source's too: SingularityError,
-    named at the sample nearest the zero."""
-    values = squared_gain(spec.shaping, grid)
-    if values.min() <= 1e-18:
-        what = "shaping filter vanishes on the unit circle"
-        _raise_at_sample(SingularityError, what, grid.omegas, int(np.argmin(values)))
-    values *= spec.variance
-    return _owned(SpectrumSamples, grid, values)
+    named at the sample nearest the zero, on every call.
+
+    The spectrum is formed once per spec and grid size and kept on the spec:
+    every call returns that one SpectrumSamples, whose read-only values are
+    shared by all its callers.
+    """
+    psd = spec._psd.get(grid.n_points)
+    if psd is None:
+        values = squared_gain(spec.shaping, grid)
+        if values.min() <= 1e-18:
+            what = "shaping filter vanishes on the unit circle"
+            _raise_at_sample(SingularityError, what, grid.omegas, int(np.argmin(values)))
+        values *= spec.variance
+        psd = spec._psd[grid.n_points] = _owned(SpectrumSamples, grid, values)
+    return psd
 
 
 def _mirror(out: np.ndarray) -> np.ndarray:
@@ -238,7 +256,12 @@ def output_psd(
     cl: ClosedLoop, sw: SpectrumSamples, sv: SpectrumSamples
 ) -> SpectrumSamples:
     """Loop-output PSD: |F_wy|^2 * S_W + |F_vy|^2 * S_V; an unstable pole of
-    either map raises UnstableLoopError, naming it (see ClosedLoop.is_stable)."""
+    either map raises UnstableLoopError, naming it (see ClosedLoop.is_stable).
+
+    The returned spectrum is new. The squared gains it reads are formed once
+    per closed loop and grid size and kept, read-only, on cl (see
+    _closed_loop_gains); sw and sv from noise_psd are the sources' shared ones.
+    """
     if sw.grid != sv.grid:
         raise InvalidInputError(
             f"mismatched grids: {sw.grid.n_points} vs {sv.grid.n_points} points"
@@ -261,10 +284,19 @@ def _output_spectrum(fwy, fvy, sw: SpectrumSamples, sv: SpectrumSamples) -> Spec
 
 def _closed_loop_gains(cl: ClosedLoop, grid: FrequencyGrid):
     """|F_wy|^2 and |F_vy|^2 on the grid, stability checked by the caller;
-    F_vy equals F_wy when H = 1."""
-    fwy = squared_gain(cl.f_wy, grid)
-    fvy = fwy if cl.f_vy == cl.f_wy else squared_gain(cl.f_vy, grid)
-    return fwy, fvy
+    F_vy equals F_wy when H = 1, and the pair then holds one array twice.
+
+    The pair is formed once per closed loop and grid size and kept in
+    cl._gains: every call returns the same two read-only arrays.
+    """
+    gains = cl._gains.get(grid.n_points)
+    if gains is None:
+        fwy = squared_gain(cl.f_wy, grid)
+        fwy.flags.writeable = False
+        fvy = fwy if cl.f_vy == cl.f_wy else squared_gain(cl.f_vy, grid)
+        fvy.flags.writeable = False
+        gains = cl._gains[grid.n_points] = fwy, fvy
+    return gains
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,7 +306,10 @@ class LoopSpectra:
     array here, sy too, is exactly even (see squared_gain).
 
     sw and sv are the source PSDs; h2, fwy2 and fvy2 the squared gains |H|^2,
-    |F_wy|^2 and |F_vy|^2. Every quantity the rate, its split and the entropy
+    |F_wy|^2 and |F_vy|^2. sw and sv are those noise_psd keeps on the
+    model's sources, and fwy2 and fvy2 those kept on its closed loop, so
+    they are shared and read-only; h2 alone is formed for these spectra and
+    dropped with them. Every quantity the rate, its split and the entropy
     route need is formed from these arrays, elementwise, so it is formed on
     the first n/2 + 1 samples and mirrored (see _mirror): sy here, the
     integrands in the decomposition. The caller has checked stability.

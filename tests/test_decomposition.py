@@ -306,6 +306,86 @@ def test_independence_check_evaluates_sources_once(monkeypatch):
     assert len(calls) == 3 + 2 * len(controllers)  # F_wy and F_vy per controller
 
 
+def test_verify_sequence_evaluates_each_transfer_function_once(monkeypatch):
+    """decompose, then both noise PSDs and the output PSD on the same grid,
+    as a benchmark verify op does: the sources keep their spectra and the
+    closed loop its gains, so the later calls evaluate nothing."""
+    model = colored_dynamic_h_model()
+    grid = FrequencyGrid(512)
+    cl = close_loop(model)
+    calls = _count_evaluations(monkeypatch)
+    report = decompose(RateInputs(model, grid))
+    sw = noise_psd(model.channel_noise, grid)
+    sv = noise_psd(model.output_disturbance, grid)
+    sy = output_psd(close_loop(model), sw, sv)
+    evaluated = (
+        cl.f_wy,
+        cl.f_vy,
+        model.feedback_filter,
+        model.channel_noise.shaping,
+        model.output_disturbance.shaping,
+    )
+    for f in evaluated:
+        assert _times_evaluated(calls, f) == 1
+    assert len(calls) == len(evaluated)
+    chain = gaussian_entropy_rate(sy) - gaussian_entropy_rate(sw)
+    assert abs(report.total_rate - chain) < 1e-10
+
+
+def test_verify_command_sequence_evaluates_each_shaping_filter_once(monkeypatch):
+    """decompose, then the independence check, as `loopinfo verify` runs them:
+    each candidate model shares the sources, so their spectra are formed once;
+    |H|^2 is formed by each call, and each controller forms its own gains."""
+    model = colored_dynamic_h_model()
+    controllers = [model.controller, placed_controller([0.0, 0.4, 0.5])]
+    grid = FrequencyGrid(512)
+    calls = _count_evaluations(monkeypatch)
+    decompose(RateInputs(model, grid))
+    assert controller_independence_check(model, controllers, grid).passed
+    for f in (model.channel_noise.shaping, model.output_disturbance.shaping):
+        assert _times_evaluated(calls, f) == 1
+    assert _times_evaluated(calls, model.feedback_filter) == 2
+    assert len(calls) == 5 + 1 + 2 * len(controllers)
+
+
+def test_each_grid_size_is_evaluated_once(monkeypatch):
+    model = colored_dynamic_h_model()
+    calls = _count_evaluations(monkeypatch)
+    for n in (512, 256, 512, 256):
+        decompose(RateInputs(model, FrequencyGrid(n)))
+    shaping = model.channel_noise.shaping
+    assert [n for f, n in calls if f is shaping] == [257, 129]
+    cl = close_loop(model)
+    assert [n for f, n in calls if f is cl.f_wy] == [257, 129]
+    # |H|^2 is not kept: every decompose forms it
+    assert _times_evaluated(calls, model.feedback_filter) == 4
+
+
+def test_a_replaced_noise_spec_gets_a_spectrum_of_its_own(monkeypatch):
+    spec = colored(0.8, tf([1.0, -0.4]))
+    grid = FrequencyGrid(256)
+    calls = _count_evaluations(monkeypatch)
+    first = noise_psd(spec, grid)
+    louder = replace(spec, variance=1.6)
+    second = noise_psd(louder, grid)
+    assert _times_evaluated(calls, spec.shaping) == 2
+    assert second is not first
+    assert np.array_equal(second.values, first.values * 2.0)
+    assert noise_psd(spec, grid) is first and noise_psd(louder, grid) is second
+    assert _times_evaluated(calls, spec.shaping) == 2
+
+
+def test_a_vanishing_shaping_filter_raises_on_every_call(monkeypatch):
+    spec = colored(1.0, tf([1.0, 1.0]))  # 1 + d vanishes at omega = -pi
+    grid = FrequencyGrid(256)
+    calls = _count_evaluations(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(SingularityError, match="omega=-3.141592653589793"):
+            noise_psd(spec, grid)
+    assert _times_evaluated(calls, spec.shaping) == 3
+    assert spec._psd == {}
+
+
 def test_rate_computations_read_only_the_stability_report(monkeypatch):
     """decompose, export_integrands and a four-controller independence check
     take stability from the model's StabilityReport alone: no

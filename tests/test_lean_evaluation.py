@@ -23,11 +23,14 @@ from loopinfo import (
     LoopModel,
     RateInputs,
     SimulationConfig,
+    close_loop,
     colored,
     compare_report,
     controller_independence_check,
     decompose,
     export_integrands,
+    noise_psd,
+    output_psd,
     pole_placement_controller,
     random_stabilized_loop,
     tf,
@@ -291,3 +294,64 @@ def test_independence_check_peak_allocation_at_65536_points():
     grid = FrequencyGrid(65536)
     peak = _peak_arrays(lambda: controller_independence_check(model, controllers, grid))
     assert peak <= 7.0
+
+
+@pytest.mark.parametrize("name, most", [("dynamic", 4.5), ("pole", 3.5)])
+def test_kept_spectra_held_by_a_model_at_65536_points(name, most):
+    """What a model's objects keep after the verify sequence (decompose, both
+    noise PSDs, the output PSD): each source's PSD and the closed loop's
+    |F_wy|^2 and |F_vy|^2, one array each (one in all when H = 1), and
+    nothing else; a kept |H|^2 or other squared gain would add an array.
+    Measured 4.01 and 3.01 arrays (0.01 before the sources and the closed
+    loop kept their samples); the bound leaves half an array for objects."""
+    grid = FrequencyGrid(65536)
+    grid.unit_circle  # the grid's own cached samples, formed untraced
+    tracemalloc.start()
+    try:
+        model = MODELS[name]()
+        decompose(RateInputs(model, grid))
+        sw = noise_psd(model.channel_noise, grid)
+        sv = noise_psd(model.output_disturbance, grid)
+        output_psd(close_loop(model), sw, sv)
+        del sw, sv
+        held = tracemalloc.get_traced_memory()[0]
+        del model
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / ARRAY <= most
+
+
+def _first_call_peak_arrays(fn, grid) -> float:
+    """Peak traced allocation of fn(model) on a model built afresh, whose
+    sources and closed loops keep no samples yet; the grid's own samples are
+    formed first, untraced."""
+    grid.unit_circle
+    model = dynamic_model()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - before) / ARRAY
+
+
+def test_first_call_peak_allocation_at_65536_points():
+    """The peaks above, on a first call, which forms the sources' spectra
+    and the closed loops' gains that later calls read: measured 7.58 arrays
+    for decompose and 6.02 for the four-controller check, as before the
+    model's objects kept them. Each controller's gains go with its candidate
+    model, so no more than one controller's are alive at a time."""
+    grid = FrequencyGrid(65536)
+    controllers = [placed(t) for t in TARGETS + ([0.3, -0.1, 0.0],)]
+
+    def rate(model):
+        decompose(RateInputs(model, grid))
+
+    def check(model):
+        controller_independence_check(model, controllers, grid)
+
+    assert _first_call_peak_arrays(rate, grid) <= 8.5
+    assert _first_call_peak_arrays(check, grid) <= 7.0

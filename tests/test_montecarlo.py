@@ -175,6 +175,16 @@ def test_trajectory_set_copies_what_a_caller_passes():
     assert np.array_equal(traj.u, -np.ones(n))
 
 
+def test_trajectory_set_rejects_a_complex_signal_naming_it():
+    n = 8
+    z, w = np.zeros(n), np.ones(n)
+    with pytest.raises(InvalidInputError, match="signal u must be real"):
+        TrajectorySet(y=w, w=w, v=z, z=z, u=z * (1 + 1j), seed=0)
+    # real input keeps its bits, a list or float32 too
+    traj = TrajectorySet(y=list(w), w=w.astype(np.float32), v=z, z=z, u=-w, seed=0)
+    assert traj.y.tobytes() == traj.w.tobytes() == w.tobytes()
+
+
 def test_trajectory_set_names_a_bad_shape_and_a_broken_channel_equation():
     n = 8
     z, w = np.zeros(n), np.ones(n)
@@ -821,6 +831,15 @@ def test_welch_white_noise_is_flat():
     s = welch_psd(x, FrequencyGrid(4096))
     assert float(np.mean(np.abs(s.values - 1.0))) < 0.09
     assert float(np.mean(s.values)) == pytest.approx(1.0, abs=0.02)
+
+
+def test_welch_rejects_complex_input():
+    x = np.random.Generator(np.random.Philox(0)).standard_normal(2048)
+    with pytest.raises(InvalidInputError, match="sequence x must be real"):
+        welch_psd(x + 0.5j, FrequencyGrid(1024))
+    # real input keeps its bits, as a list too
+    s = welch_psd(x, FrequencyGrid(1024))
+    assert welch_psd(list(x), FrequencyGrid(1024)).values.tobytes() == s.values.tobytes()
 
 
 def test_welch_integrated_power_matches_sample_variance():

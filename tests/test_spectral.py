@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from loopinfo import (
     welch_psd,
     white,
 )
+from loopinfo import spectral
 from loopinfo.lti import TF_ONE
 from loopinfo.spectral import LoopSpectra, squared_gain
 
@@ -514,3 +516,86 @@ def test_spectrum_csv_round_trip():
     back = np.array([[float(a), float(b)] for a, b in rows[1:]])
     assert np.allclose(back[:, 0], g.omegas, atol=1e-11)
     assert np.allclose(back[:, 1], s.values, atol=1e-11)
+
+
+def test_spectrum_samples_reject_complex_values():
+    g = FrequencyGrid(64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning on the way
+        with pytest.raises(InvalidInputError, match="spectrum values must be real"):
+            SpectrumSamples(g, np.ones(64) * (1 + 1j))
+        with pytest.raises(InvalidInputError, match="spectrum values must be real"):
+            SpectrumSamples(g, [1 + 0j] * 64)
+    # real input keeps its bits, whatever its type
+    vals = 2.0 + np.cos(g.omegas)
+    for given in (vals, list(vals), vals.astype(np.float32)):
+        want = np.array(given, dtype=float)
+        assert SpectrumSamples(g, given).values.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Spectra kept on the immutable objects: each source's PSD on its NoiseSpec,
+# each closed loop's squared gains on its ClosedLoop, once per grid size
+
+
+def _kept_arrays(model, grid):
+    cl = close_loop(model)
+    return (
+        noise_psd(model.channel_noise, grid).values,
+        noise_psd(model.output_disturbance, grid).values,
+        *spectral._closed_loop_gains(cl, grid),
+    )
+
+
+def test_kept_spectra_and_gains_are_shared_and_read_only():
+    model = _even_test_model()
+    grid = FrequencyGrid(256)
+    spectra = LoopSpectra.evaluate(model, grid)
+    kept = _kept_arrays(model, grid)
+    read = (spectra.sw.values, spectra.sv.values, spectra.fwy2, spectra.fvy2)
+    assert all(got is want for got, want in zip(read, kept))
+    for a in kept:
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    # |H|^2 is formed for the spectra alone, and stays theirs
+    assert spectra.h2.flags.writeable
+
+
+def test_kept_arrays_equal_those_formed_afresh():
+    grid = FrequencyGrid(512)
+    model = _even_test_model()
+    decompose(RateInputs(model, grid))
+    kept = _kept_arrays(model, grid)
+    fresh = _even_test_model()
+    assert fresh == model
+    formed = _kept_arrays(fresh, grid)
+    assert [a.tobytes() for a in kept] == [a.tobytes() for a in formed]
+    # a hand-built closed loop with equal maps forms the same gains
+    cl = close_loop(model)
+    hand = spectral._closed_loop_gains(ClosedLoop(cl.f_wy, cl.f_vy), grid)
+    assert [a.tobytes() for a in kept[2:]] == [a.tobytes() for a in hand]
+    assert kept[2].tobytes() == squared_gain(cl.f_wy, grid).tobytes()
+    # H = 1: F_vy is F_wy, and the pair holds one array twice
+    plant = tf([0.0, 1.0], [1.0, -2.0])
+    unit = LoopModel(plant, tf([-2.0]), TF_ONE, white(1.0), white(1.0))
+    fwy2, fvy2 = spectral._closed_loop_gains(close_loop(unit), grid)
+    assert fvy2 is fwy2
+
+
+def test_filled_caches_leave_repr_eq_and_hash_unchanged():
+    model = _even_test_model()
+    cl = close_loop(model)
+    objects = (model.channel_noise, model.output_disturbance, cl, model)
+    before = [(repr(o), hash(o)) for o in objects]
+    grid = FrequencyGrid(256)
+    decompose(RateInputs(model, grid))
+    sw = noise_psd(model.channel_noise, grid)
+    output_psd(cl, sw, noise_psd(model.output_disturbance, grid))
+    assert model.channel_noise._psd and model.output_disturbance._psd and cl._gains
+    assert [(repr(o), hash(o)) for o in objects] == before
+    fresh = _even_test_model()
+    fresh_cl = close_loop(fresh)
+    fresh_objects = (fresh.channel_noise, fresh.output_disturbance, fresh_cl, fresh)
+    assert not fresh.channel_noise._psd and not fresh_cl._gains
+    for filled, empty in zip(objects, fresh_objects):
+        assert filled == empty and hash(filled) == hash(empty)
