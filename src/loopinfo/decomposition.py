@@ -320,10 +320,11 @@ def controller_independence_check(
     S_W, S_V, |H|^2 and the simplified mean hold no controller: they are
     formed once, and warn as in decompose; a mean that is not finite raises
     decompose's InvalidInputError for an overflowed S_Y/S_W. Each controller
-    forms |F_wy|^2 and |F_vy|^2, checked as in decompose (a non-finite
-    sample raises InvalidInputError), and their F-ratio mean, which must
-    match the simplified mean within 1e-10. PASS iff the F-ratio means agree
-    within 1e-9. A controller whose StabilityReport is not stabilizing
+    forms |F_wy|^2 and |F_vy|^2, keeping none (the model's own controller
+    reads those a decompose kept on its closed loop), checked as in
+    decompose (a non-finite sample raises InvalidInputError), and their
+    F-ratio mean, which must match the simplified mean within 1e-10. PASS
+    iff the F-ratio means agree within 1e-9. A controller whose StabilityReport is not stabilizing
     raises UnstableLoopError, naming its index.
 
     As in decompose, each integrand is formed on the n/2 + 1 samples with
@@ -344,20 +345,20 @@ def controller_independence_check(
 
         terms = []
         for i, k in enumerate(alt_controllers):
-            candidate = replace(model, controller=k)
+            # the model's own controller reads the gains a decompose kept on
+            # its closed loop; the check itself keeps none
+            candidate = model if k == model.controller else replace(model, controller=k)
             is_stabilizing(candidate)._require(
                 f"controller #{i} (num={k.num.coeffs}, den={k.den.coeffs}) "
                 "does not stabilize the loop"
             )
-            fwy2, fvy2 = _closed_loop_gains(close_loop(candidate), grid)
+            fwy2, fvy2 = _closed_loop_gains(close_loop(candidate), grid, keep=False)
             # max carries NaN; F_vy is F_wy when H = 1
             if not (fwy2[:m].max() < np.inf and (fvy2 is fwy2 or fvy2[:m].max() < np.inf)):
                 raise InvalidInputError(f"controller #{i}: |f_wy|^2 or |f_vy|^2 is not finite")
             _reject_near_singular(_first_low("|f_wy|^2", fwy2[:m], omegas), omegas)
             _f_ratio_form(sw, sv, fwy2[:m], fvy2[:m], omegas, head)
-            # the candidate's closed loop alone keeps them now, so they are
-            # freed when the next candidate replaces it, before its own are formed
-            del fwy2, fvy2
+            del fwy2, fvy2  # freed before the next controller's are formed
             term = _mean(_mirror(scratch))
             _require_forms_agree(simplified, term)
             terms.append(term)
@@ -495,7 +496,14 @@ def run_identity_suite(
     cases = []
     for _ in range(n_cases):
         model = random_stabilized_loop(rng)
-        report, spectra = _decompose(model, grid)
+        # an equal copy is decomposed, so the spectra its sources and closed
+        # loop keep go with it and the suite's memory does not grow per case
+        probe = replace(
+            model,
+            channel_noise=replace(model.channel_noise),
+            output_disturbance=replace(model.output_disturbance),
+        )
+        report, spectra = _decompose(probe, grid)
         chain = gaussian_entropy_rate(spectra.sy) - gaussian_entropy_rate(spectra.sw)
         cases.append(
             SuiteCase(

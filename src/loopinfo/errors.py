@@ -4,14 +4,11 @@ Every failure mode the library reports deliberately maps onto one of these,
 so callers (and the CLI exit-code contract) can branch on class rather than
 on message text. A failure at one frequency-grid sample is located, worded
 and raised in one place, _raise_at_sample; every integer argument is checked
-by _check_int, and every array of samples a caller passes is converted by
-_real_array. UnstableLoopError follows from a LoopModel's one stability
+by _check_int. UnstableLoopError follows from a LoopModel's one stability
 verdict, its StabilityReport, or from a hand-built ClosedLoop's two maps.
 """
 
 from numbers import Integral
-
-import numpy as np
 
 
 class LoopInfoError(Exception):
@@ -102,13 +99,3 @@ def _check_int(value, name: str) -> None:
     value is an integer, Python's or numpy's but not a bool."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-
-
-def _real_array(values, name: str, copy: bool = True) -> np.ndarray:
-    """values as a float array, a new one unless copy is False and values is
-    one already; complex values raise InvalidInputError naming them, where
-    the conversion would drop their imaginary parts with only a
-    ComplexWarning."""
-    if np.iscomplexobj(values):
-        raise InvalidInputError(f"{name} must be real, got complex values")
-    return np.array(values, dtype=float) if copy else np.asarray(values, dtype=float)

@@ -56,12 +56,13 @@ from queue import SimpleQueue
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidInputError, _check_int, _real_array
+from .errors import DivergenceError, InvalidInputError, _check_int
 from .lti import TF_ONE, LoopModel, TransferFunction
 from .spectral import (
     FrequencyGrid,
     SpectrumSamples,
     _owned,
+    _real_array,
     _write_csv,
     log_integral,
     sensitivity_ratio,

@@ -24,7 +24,6 @@ from .errors import (
     UnstableLoopError,
     _check_int,
     _raise_at_sample,
-    _real_array,
 )
 from .lti import (
     TF_ONE,
@@ -84,6 +83,16 @@ def _owned(cls, *fields):
     obj = cls.__new__(cls)
     obj._adopt(*fields)
     return obj
+
+
+def _real_array(values, name: str, copy: bool = True) -> np.ndarray:
+    """values as a float array, a new one unless copy is False and values is
+    one already: the conversion of every array of samples a caller passes.
+    Complex values raise InvalidInputError naming them, where the conversion
+    would drop their imaginary parts with only a ComplexWarning."""
+    if np.iscomplexobj(values):
+        raise InvalidInputError(f"{name} must be real, got complex values")
+    return np.array(values, dtype=float) if copy else np.asarray(values, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,12 +291,14 @@ def _output_spectrum(fwy, fvy, sw: SpectrumSamples, sv: SpectrumSamples) -> Spec
     return _owned(SpectrumSamples, sw.grid, values)
 
 
-def _closed_loop_gains(cl: ClosedLoop, grid: FrequencyGrid):
+def _closed_loop_gains(cl: ClosedLoop, grid: FrequencyGrid, keep: bool = True):
     """|F_wy|^2 and |F_vy|^2 on the grid, stability checked by the caller;
     F_vy equals F_wy when H = 1, and the pair then holds one array twice.
 
     The pair is formed once per closed loop and grid size and kept in
-    cl._gains: every call returns the same two read-only arrays.
+    cl._gains: every call returns the same two read-only arrays. With keep
+    False a pair not kept yet is formed and returned but not kept, so it is
+    freed with the caller's last reference to it.
     """
     gains = cl._gains.get(grid.n_points)
     if gains is None:
@@ -295,7 +306,9 @@ def _closed_loop_gains(cl: ClosedLoop, grid: FrequencyGrid):
         fwy.flags.writeable = False
         fvy = fwy if cl.f_vy == cl.f_wy else squared_gain(cl.f_vy, grid)
         fvy.flags.writeable = False
-        gains = cl._gains[grid.n_points] = fwy, fvy
+        gains = fwy, fvy
+        if keep:
+            cl._gains[grid.n_points] = gains
     return gains
 
 

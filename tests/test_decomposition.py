@@ -335,7 +335,8 @@ def test_verify_sequence_evaluates_each_transfer_function_once(monkeypatch):
 def test_verify_command_sequence_evaluates_each_shaping_filter_once(monkeypatch):
     """decompose, then the independence check, as `loopinfo verify` runs them:
     each candidate model shares the sources, so their spectra are formed once;
-    |H|^2 is formed by each call, and each controller forms its own gains."""
+    |H|^2 is formed by each call; the model's own controller, first, reads
+    the gains decompose kept, and each other controller forms its own."""
     model = colored_dynamic_h_model()
     controllers = [model.controller, placed_controller([0.0, 0.4, 0.5])]
     grid = FrequencyGrid(512)
@@ -345,7 +346,25 @@ def test_verify_command_sequence_evaluates_each_shaping_filter_once(monkeypatch)
     for f in (model.channel_noise.shaping, model.output_disturbance.shaping):
         assert _times_evaluated(calls, f) == 1
     assert _times_evaluated(calls, model.feedback_filter) == 2
-    assert len(calls) == 5 + 1 + 2 * len(controllers)
+    assert _times_evaluated(calls, close_loop(model).f_wy) == 1
+    assert len(calls) == 5 + 1 + 2 * (len(controllers) - 1)
+
+
+def test_independence_check_keeps_no_gains_and_reads_kept_ones_bit_for_bit():
+    """On a model whose closed loop keeps no gains, the check forms its own
+    controller's and keeps none, so its peak does not grow; after decompose
+    it reads the kept ones and reports the same bits."""
+    model = colored_dynamic_h_model()
+    controllers = [model.controller, placed_controller([0.0, 0.4, 0.5])]
+    grid = FrequencyGrid(512)
+    cold = controller_independence_check(model, controllers, grid)
+    assert close_loop(model)._gains == {}
+    decompose(RateInputs(model, grid))
+    assert grid.n_points in close_loop(model)._gains
+    warm = controller_independence_check(model, controllers, grid)
+    assert [t.hex() for t in warm.disturbance_terms] == [
+        t.hex() for t in cold.disturbance_terms
+    ]
 
 
 def test_each_grid_size_is_evaluated_once(monkeypatch):

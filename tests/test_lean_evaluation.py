@@ -33,6 +33,7 @@ from loopinfo import (
     output_psd,
     pole_placement_controller,
     random_stabilized_loop,
+    run_identity_suite,
     tf,
     white,
 )
@@ -320,6 +321,24 @@ def test_kept_spectra_held_by_a_model_at_65536_points(name, most):
     finally:
         tracemalloc.stop()
     assert held / ARRAY <= most
+
+
+def test_identity_suite_holds_no_spectra_at_65536_points():
+    """The suite keeps each case's model, whose sources and closed loop keep
+    no samples: each case is decomposed on an equal copy, freed with it.
+    Measured 0.45 arrays for 50 cases (Python objects); 181 when the kept
+    models held their spectra, about 3.6 arrays a case."""
+    grid = FrequencyGrid(65536)
+    run_identity_suite(1, grid=grid)  # lazy imports and the grid's samples
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cases = run_identity_suite(50, grid=grid)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(cases) == 50
+    assert held / ARRAY <= 1.0
 
 
 def _first_call_peak_arrays(fn, grid) -> float:
