@@ -38,17 +38,18 @@ from .spectral import (
     NEAR_SINGULAR_FLOOR,
     _RATIO_OVERFLOW,
     FrequencyGrid,
-    LoopSpectra,
     NoiseSpec,
     SpectrumSamples,
     _closed_loop_gains,
     _divisor,
     _first_low,
     _mirror,
+    _output_spectrum,
     _write_csv,
     colored,
     log_integral,
     noise_psd,
+    output_psd,
     squared_gain,
     white,
 )
@@ -108,27 +109,35 @@ def gaussian_entropy_rate(s: SpectrumSamples) -> float:
     return 0.5 * math.log(2.0 * math.pi * math.e) + 0.5 * log_integral(s)
 
 
-def _integrands(spectra: LoopSpectra, take) -> tuple[tuple, int | None]:
-    """take applied to each integrand in turn, log sqrt(S_Y/S_W), (1/2)
-    log|F_wy|^2, the simplified and the F-ratio disturbance form, each formed
-    in one scratch array that the next overwrites (take must not keep it),
-    and the first index where ratio^2 or |F_wy|^2 is near-singular, or None.
+def _integrands(model: LoopModel, grid: FrequencyGrid, take) -> tuple[tuple, int | None]:
+    """take applied to each integrand of the model's rate in turn, log
+    sqrt(S_Y/S_W), (1/2) log|F_wy|^2, the simplified and the F-ratio
+    disturbance form, each formed in one scratch array that the next
+    overwrites (take must not keep it), and the first index where ratio^2 or
+    |F_wy|^2 is near-singular, or None. The caller has checked stability.
 
-    The spectra are exactly even, and each step is elementwise, so each
-    integrand is formed on the n/2 + 1 samples with omega in [-pi, 0] and
-    mirrored: take gets the n samples a full-grid pass would form, bit for
-    bit. The sensitivity ratio gets sensitivity_ratio's divisor check, an
-    overflowed ratio raises InvalidInputError naming it, and every check
-    names the omega a full-grid check would (see squared_gain).
+    S_W and S_V are those noise_psd keeps on the model's sources, |F_wy|^2
+    and |F_vy|^2 those kept on its closed loop; |H|^2 is formed here, and
+    S_Y is dropped once S_Y/S_W is formed. All are exactly even (see
+    squared_gain), and each step is elementwise, so each integrand is formed
+    on the n/2 + 1 samples with omega in [-pi, 0] and mirrored: take gets
+    the n samples a full-grid pass would form, bit for bit. The sensitivity
+    ratio gets sensitivity_ratio's divisor check, an overflowed ratio raises
+    InvalidInputError naming it, and every check names the omega a full-grid
+    check would.
     """
-    grid = spectra.sw.grid
     omegas, m = grid.omegas, grid.n_points // 2 + 1
-    sw, sv, h2, fwy2, fvy2 = (
-        a[:m] for a in (spectra.sw.values, spectra.sv.values, spectra.h2,
-                        spectra.fwy2, spectra.fvy2)
-    )
+    # an overflowed or NaN sample fails S_Y's finiteness check instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        sw = noise_psd(model.channel_noise, grid)
+        sv = noise_psd(model.output_disturbance, grid)
+        h2 = squared_gain(model.feedback_filter, grid)
+        fwy2, fvy2 = _closed_loop_gains(close_loop(model), grid)
     with np.errstate(over="ignore"):  # S_Y and S_W are finite, S_W > 1e-300
-        ratio = np.divide(spectra.sy.values[:m], _divisor(sw, omegas))
+        sy = _output_spectrum(fwy2, fvy2, sw, sv).values[:m]
+        ratio = np.divide(sy, _divisor(sw.values[:m], omegas))
+    del sy  # freed before the integrands' scratch array is formed
+    sw, sv, h2, fwy2, fvy2 = (a[:m] for a in (sw.values, sv.values, h2, fwy2, fvy2))
     if not ratio.max() < np.inf:
         raise InvalidInputError(_RATIO_OVERFLOW)
     np.sqrt(ratio, out=ratio)
@@ -256,24 +265,15 @@ def decompose(inputs: RateInputs) -> DecompositionReport:
     raises SingularityError naming the first such omega: a finer grid keeps
     every sample of this one, so it cannot help.
 
-    The reported values are grid means, each transfer function evaluated
-    once. convergence_estimate is their gap to the exact Jensen values, from
-    roots (the Bode sum; log-Mahler measures of the disturbance spectra, and
-    the two summed for the total); a gap above 1e-10 raises a RuntimeWarning.
+    The reported values are grid means of _integrands, each transfer
+    function evaluated once; the source PSDs and closed-loop gains are those
+    kept on the model's objects (see noise_psd and close_loop).
+    convergence_estimate is their gap to the exact Jensen values, from roots
+    (the Bode sum; log-Mahler measures of the disturbance spectra, and the
+    two summed for the total); a gap above 1e-10 raises a RuntimeWarning.
     """
-    return _decompose(inputs.model, inputs.grid)[0]
-
-
-def _mean(x: np.ndarray) -> float:
-    return float(np.mean(x))
-
-
-def _decompose(
-    model: LoopModel, grid: FrequencyGrid
-) -> tuple[DecompositionReport, LoopSpectra]:
-    """decompose, also returning the spectra it used, on the report's grid."""
-    spectra = LoopSpectra.evaluate(model, grid)
-    means, low = _integrands(spectra, _mean)
+    model, grid = inputs.model, inputs.grid
+    means, low = _integrands(model, grid, _mean)
     _reject_near_singular(low, grid.omegas)
 
     total, control, disturbance, disturbance_alt = means
@@ -286,9 +286,9 @@ def _decompose(
         abs(control - bode),
         abs(disturbance - exact_disturbance),
     )
-    _warn_if_off_exact(estimate, grid, stacklevel=3)
+    _warn_if_off_exact(estimate, grid, stacklevel=2)
 
-    report = DecompositionReport(
+    return DecompositionReport(
         total_rate=total,
         control_term=control,
         disturbance_term=disturbance,
@@ -297,7 +297,10 @@ def _decompose(
         grid_points=grid.n_points,
         convergence_estimate=estimate,
     )
-    return report, spectra
+
+
+def _mean(x: np.ndarray) -> float:
+    return float(np.mean(x))
 
 
 @dataclass(frozen=True)
@@ -324,8 +327,9 @@ def controller_independence_check(
     reads those a decompose kept on its closed loop), checked as in
     decompose (a non-finite sample raises InvalidInputError), and their
     F-ratio mean, which must match the simplified mean within 1e-10. PASS
-    iff the F-ratio means agree within 1e-9. A controller whose StabilityReport is not stabilizing
-    raises UnstableLoopError, naming its index.
+    iff the F-ratio means agree within 1e-9. A controller whose
+    StabilityReport is not stabilizing raises UnstableLoopError, naming its
+    index.
 
     As in decompose, each integrand is formed on the n/2 + 1 samples with
     omega in [-pi, 0] and mirrored, and each mean is over all n samples.
@@ -373,8 +377,7 @@ def controller_independence_check(
 def export_integrands(inputs: RateInputs, target) -> None:
     """Write per-frequency integrand samples as CSV: columns omega, log_Syw,
     log_Fwy, disturbance_integrand."""
-    spectra = LoopSpectra.evaluate(inputs.model, inputs.grid)
-    (log_ratio, log_fwy, disturbance, _), _ = _integrands(spectra, np.copy)
+    (log_ratio, log_fwy, disturbance, _), _ = _integrands(inputs.model, inputs.grid, np.copy)
     columns = (inputs.grid.omegas, log_ratio, log_fwy, disturbance)
     _write_csv(
         target,
@@ -503,8 +506,10 @@ def run_identity_suite(
             channel_noise=replace(model.channel_noise),
             output_disturbance=replace(model.output_disturbance),
         )
-        report, spectra = _decompose(probe, grid)
-        chain = gaussian_entropy_rate(spectra.sy) - gaussian_entropy_rate(spectra.sw)
+        report = decompose(RateInputs(probe, grid))
+        sw = noise_psd(probe.channel_noise, grid)
+        sy = output_psd(close_loop(probe), sw, noise_psd(probe.output_disturbance, grid))
+        chain = gaussian_entropy_rate(sy) - gaussian_entropy_rate(sw)
         cases.append(
             SuiteCase(
                 model=model,

@@ -28,12 +28,10 @@ from .errors import (
 from .lti import (
     TF_ONE,
     ClosedLoop,
-    LoopModel,
     TransferFunction,
     _omegas,
     _unit_circle,
     _unstable,
-    close_loop,
     unit_circle_response,
 )
 
@@ -102,10 +100,10 @@ class SpectrumSamples:
     values is read-only and owned by the spectrum. The constructor copies
     the values a caller passes, so changing the caller's array later changes
     nothing here; complex values raise InvalidInputError. The library's own
-    spectra (noise_psd, output_psd, LoopSpectra.sy, sensitivity_ratio,
-    welch_psd and its floored copies in the empirical rate) are built by
-    _owned from arrays just formed for them and referenced nowhere else;
-    noise_psd's is then kept on its NoiseSpec and shared.
+    spectra (noise_psd, output_psd, sensitivity_ratio, welch_psd and its
+    floored copies in the empirical rate) are built by _owned from arrays
+    just formed for them and referenced nowhere else; noise_psd's is then
+    kept on its NoiseSpec and shared.
 
     The values are checked in order: finite, nonnegative, then even, sample k
     matching its mirror n - k within 1e-300 + 1e-9 times the mirror. An
@@ -310,43 +308,6 @@ def _closed_loop_gains(cl: ClosedLoop, grid: FrequencyGrid, keep: bool = True):
         if keep:
             cl._gains[grid.n_points] = gains
     return gains
-
-
-@dataclass(frozen=True, eq=False)
-class LoopSpectra:
-    """A loop's spectra on one grid, each transfer function evaluated once,
-    on the half of the grid with omega in [-pi, 0], and mirrored: every
-    array here, sy too, is exactly even (see squared_gain).
-
-    sw and sv are the source PSDs; h2, fwy2 and fvy2 the squared gains |H|^2,
-    |F_wy|^2 and |F_vy|^2. sw and sv are those noise_psd keeps on the
-    model's sources, and fwy2 and fvy2 those kept on its closed loop, so
-    they are shared and read-only; h2 alone is formed for these spectra and
-    dropped with them. Every quantity the rate, its split and the entropy
-    route need is formed from these arrays, elementwise, so it is formed on
-    the first n/2 + 1 samples and mirrored (see _mirror): sy here, the
-    integrands in the decomposition. The caller has checked stability.
-    """
-
-    sw: SpectrumSamples
-    sv: SpectrumSamples
-    h2: np.ndarray
-    fwy2: np.ndarray
-    fvy2: np.ndarray
-
-    @classmethod
-    def evaluate(cls, model: LoopModel, grid: FrequencyGrid) -> "LoopSpectra":
-        # an overflowed or NaN sample fails sy's finiteness check instead
-        with np.errstate(over="ignore", invalid="ignore"):
-            sw = noise_psd(model.channel_noise, grid)
-            sv = noise_psd(model.output_disturbance, grid)
-            h2 = squared_gain(model.feedback_filter, grid)
-            return cls(sw, sv, h2, *_closed_loop_gains(close_loop(model), grid))
-
-    @cached_property
-    def sy(self) -> SpectrumSamples:
-        """Loop-output PSD: |F_wy|^2 * S_W + |F_vy|^2 * S_V."""
-        return _output_spectrum(self.fwy2, self.fvy2, self.sw, self.sv)
 
 
 def sensitivity_ratio(sa: SpectrumSamples, sb: SpectrumSamples) -> SpectrumSamples:

@@ -462,8 +462,7 @@ def test_integrands_are_formed_on_the_evaluated_half(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [64, 4096, 65536])
 def test_integrands_taken_are_full_and_exactly_even(n):
-    spectra = spectral.LoopSpectra.evaluate(colored_dynamic_h_model(), FrequencyGrid(n))
-    taken, _ = decomposition._integrands(spectra, np.copy)
+    taken, _ = decomposition._integrands(colored_dynamic_h_model(), FrequencyGrid(n), np.copy)
     assert len(taken) == 4
     for x in taken:
         assert x.shape == (n,)
@@ -708,6 +707,7 @@ def test_near_circle_grid_error_is_estimated_and_warned(worked_model, a):
     with pytest.warns(RuntimeWarning, match="4096 points") as caught:
         rep = decompose(RateInputs(m, FrequencyGrid(4096)))
     assert not any("refining the grid" in str(w.message) for w in caught)
+    assert caught[0].filename == __file__
     true_error = abs(rep.disturbance_term - _one_pole_closed_form(1.0, 1.0, a))
     assert true_error > 1e-4
     assert abs(rep.convergence_estimate - true_error) <= 1e-11
@@ -834,6 +834,11 @@ def test_integrand_csv_identity_holds_rowwise(worked_model):
     assert np.allclose(data[:, 0], inputs.grid.omegas, atol=1e-11)
     # the decomposition identity holds per frequency, not just on average
     assert np.allclose(data[:, 1], data[:, 2] + data[:, 3], atol=1e-9)
+    # and the column means are the report's terms, to the CSV's 12 digits
+    report = decompose(inputs)
+    means = data[:, 1:].mean(axis=0)
+    terms = (report.total_rate, report.control_term, report.disturbance_term)
+    assert np.allclose(means, terms, rtol=0.0, atol=1e-11)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from loopinfo import (
 )
 from loopinfo import spectral
 from loopinfo.lti import TF_ONE
-from loopinfo.spectral import LoopSpectra, squared_gain
+from loopinfo.spectral import squared_gain
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +145,9 @@ def test_library_built_spectra_are_read_only():
     cl = close_loop(model)
     sw = noise_psd(model.channel_noise, g)
     sv = noise_psd(model.output_disturbance, g)
-    spectra = LoopSpectra.evaluate(model, g)
+    sy = output_psd(cl, sw, sv)
     built = [
-        noise_psd(white(2.0), g), sw, sv, output_psd(cl, sw, sv), spectra.sy,
-        sensitivity_ratio(spectra.sy, sw),
+        noise_psd(white(2.0), g), sw, sv, sy, sensitivity_ratio(sy, sw),
         welch_psd(np.random.default_rng(0).standard_normal(4096), grid=g),
     ]
     for s in built:
@@ -248,13 +247,14 @@ def test_library_spectra_are_exactly_even(n):
     """Sample n - k is the mirror of sample k, bit for bit."""
     g = FrequencyGrid(n)
     model = _even_test_model()
-    spectra = LoopSpectra.evaluate(model, g)
+    sw = noise_psd(model.channel_noise, g)
+    sv = noise_psd(model.output_disturbance, g)
     evaluated = [
-        noise_psd(model.channel_noise, g).values,
-        noise_psd(model.output_disturbance, g).values,
+        sw.values,
+        sv.values,
         squared_gain(model.feedback_filter, g),
         squared_gain(close_loop(model).f_wy, g),
-        spectra.sy.values,
+        output_psd(close_loop(model), sw, sv).values,
     ]
     for v in evaluated:
         assert v[1:].tobytes() == v[:0:-1].tobytes()
@@ -297,9 +297,10 @@ def _library_routes(cl, sw, sv, sy):
 def test_exactly_even_spectra_take_the_half_bit_for_bit(n):
     g = FrequencyGrid(n)
     model = _even_test_model()
-    spectra = LoopSpectra.evaluate(model, g)
-    sw, sv, sy = spectra.sw, spectra.sv, spectra.sy
     cl = close_loop(model)
+    sw = noise_psd(model.channel_noise, g)
+    sv = noise_psd(model.output_disturbance, g)
+    sy = output_psd(cl, sw, sv)
     assert sw._span == sv._span == sy._span == n // 2 + 1
     assert _library_routes(cl, sw, sv, sy) == _all_n_formulas(cl, g, sw, sv, sy)
 
@@ -308,9 +309,10 @@ def test_spectra_even_only_within_the_tolerance_take_all_n_samples():
     n = 4096
     g = FrequencyGrid(n)
     model = _even_test_model()
-    spectra = LoopSpectra.evaluate(model, g)
+    sw = noise_psd(model.channel_noise, g)
+    sv = noise_psd(model.output_disturbance, g)
     nearly = []
-    for s in (spectra.sw, spectra.sv, spectra.sy):
+    for s in (sw, sv, output_psd(close_loop(model), sw, sv)):
         v = s.values.copy()
         v[20] *= 1.0 + 5e-10  # sample n - 20 is not moved
         nearly.append(SpectrumSamples(g, v))
@@ -550,15 +552,18 @@ def _kept_arrays(model, grid):
 def test_kept_spectra_and_gains_are_shared_and_read_only():
     model = _even_test_model()
     grid = FrequencyGrid(256)
-    spectra = LoopSpectra.evaluate(model, grid)
+    decompose(RateInputs(model, grid))
     kept = _kept_arrays(model, grid)
-    read = (spectra.sw.values, spectra.sv.values, spectra.fwy2, spectra.fvy2)
+    # the arrays decompose formed and kept, which every later call returns
+    read = (
+        model.channel_noise._psd[grid.n_points].values,
+        model.output_disturbance._psd[grid.n_points].values,
+        *close_loop(model)._gains[grid.n_points],
+    )
     assert all(got is want for got, want in zip(read, kept))
     for a in kept:
         with pytest.raises(ValueError):
             a[0] = 1.0
-    # |H|^2 is formed for the spectra alone, and stays theirs
-    assert spectra.h2.flags.writeable
 
 
 def test_kept_arrays_equal_those_formed_afresh():
