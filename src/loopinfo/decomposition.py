@@ -43,13 +43,13 @@ from .spectral import (
     _closed_loop_gains,
     _divisor,
     _first_low,
+    _mean,
     _mirror,
     _output_spectrum,
     _write_csv,
     colored,
     log_integral,
     noise_psd,
-    output_psd,
     squared_gain,
     white,
 )
@@ -109,16 +109,20 @@ def gaussian_entropy_rate(s: SpectrumSamples) -> float:
     return 0.5 * math.log(2.0 * math.pi * math.e) + 0.5 * log_integral(s)
 
 
-def _integrands(model: LoopModel, grid: FrequencyGrid, take) -> tuple[tuple, int | None]:
-    """take applied to each integrand of the model's rate in turn, log
+def _integrands(
+    model: LoopModel, grid: FrequencyGrid, take, keep=None
+) -> tuple[tuple, int | None]:
+    """take applied to each integrand of the model's rate, in the order log
     sqrt(S_Y/S_W), (1/2) log|F_wy|^2, the simplified and the F-ratio
-    disturbance form, each formed in one scratch array that the next
-    overwrites (take must not keep it), and the first index where ratio^2 or
-    |F_wy|^2 is near-singular, or None. The caller has checked stability.
+    disturbance form, each formed in |H|^2's array (the simplified form
+    first, in place) and overwritten by the next (take must not keep it),
+    and the first index where ratio^2 or |F_wy|^2 is near-singular, or None.
+    The caller has checked stability.
 
     S_W and S_V are those noise_psd keeps on the model's sources, |F_wy|^2
     and |F_vy|^2 those kept on its closed loop; |H|^2 is formed here, and
-    S_Y is dropped once S_Y/S_W is formed. All are exactly even (see
+    S_Y, the SpectrumSamples output_psd would form, is passed to keep (if
+    given) and dropped once S_Y/S_W is formed. All are exactly even (see
     squared_gain), and each step is elementwise, so each integrand is formed
     on the n/2 + 1 samples with omega in [-pi, 0] and mirrored: take gets
     the n samples a full-grid pass would form, bit for bit. The sensitivity
@@ -134,30 +138,30 @@ def _integrands(model: LoopModel, grid: FrequencyGrid, take) -> tuple[tuple, int
         h2 = squared_gain(model.feedback_filter, grid)
         fwy2, fvy2 = _closed_loop_gains(close_loop(model), grid)
     with np.errstate(over="ignore"):  # S_Y and S_W are finite, S_W > 1e-300
-        sy = _output_spectrum(fwy2, fvy2, sw, sv).values[:m]
-        ratio = np.divide(sy, _divisor(sw.values[:m], omegas))
-    del sy  # freed before the integrands' scratch array is formed
-    sw, sv, h2, fwy2, fvy2 = (a[:m] for a in (sw.values, sv.values, h2, fwy2, fvy2))
+        sy = _output_spectrum(fwy2, fvy2, sw, sv)
+        if keep is not None:
+            keep(sy)
+        ratio = np.divide(sy.values[:m], _divisor(sw.values[:m], omegas))
+    del sy  # freed, unless kept, before ratio^2 is formed
+    sw, sv, fwy2, fvy2 = (a[:m] for a in (sw.values, sv.values, fwy2, fvy2))
     if not ratio.max() < np.inf:
         raise InvalidInputError(_RATIO_OVERFLOW)
     np.sqrt(ratio, out=ratio)
-    scratch = np.empty(grid.n_points)
-    head = np.square(ratio, out=scratch[:m])
 
-    low_ratio = _first_low("sensitivity ratio", head, omegas)
+    low_ratio = _first_low("sensitivity ratio", np.square(ratio), omegas)
     low_fwy = _first_low("|f_wy|^2", fwy2, omegas)
     low = min((k for k in (low_ratio, low_fwy) if k is not None), default=None)
 
+    head = _simplified_form(sw, sv, h2[:m], h2[:m])
+    disturbance = take(_mirror(h2))
     np.log(ratio, out=head)
-    total = take(_mirror(scratch))
+    total = take(_mirror(h2))
     del ratio  # freed before the F-ratio form's denominator is formed
     np.log(fwy2, out=head)
     head *= 0.5
-    control = take(_mirror(scratch))
-    _simplified_form(sw, sv, h2, head)
-    disturbance = take(_mirror(scratch))
+    control = take(_mirror(h2))
     _f_ratio_form(sw, sv, fwy2, fvy2, omegas, head)
-    disturbance_alt = take(_mirror(scratch))
+    disturbance_alt = take(_mirror(h2))
     return (total, control, disturbance, disturbance_alt), low
 
 
@@ -272,8 +276,14 @@ def decompose(inputs: RateInputs) -> DecompositionReport:
     (the Bode sum; log-Mahler measures of the disturbance spectra, and the
     two summed for the total); a gap above 1e-10 raises a RuntimeWarning.
     """
+    return _decompose(inputs)
+
+
+def _decompose(inputs: RateInputs, keep=None, stacklevel: int = 3) -> DecompositionReport:
+    """decompose's report, its S_Y passed to keep (see _integrands); the
+    off-exact warning names the caller stacklevel - 1 frames up."""
     model, grid = inputs.model, inputs.grid
-    means, low = _integrands(model, grid, _mean)
+    means, low = _integrands(model, grid, _mean, keep)
     _reject_near_singular(low, grid.omegas)
 
     total, control, disturbance, disturbance_alt = means
@@ -286,7 +296,7 @@ def decompose(inputs: RateInputs) -> DecompositionReport:
         abs(control - bode),
         abs(disturbance - exact_disturbance),
     )
-    _warn_if_off_exact(estimate, grid, stacklevel=2)
+    _warn_if_off_exact(estimate, grid, stacklevel)
 
     return DecompositionReport(
         total_rate=total,
@@ -297,10 +307,6 @@ def decompose(inputs: RateInputs) -> DecompositionReport:
         grid_points=grid.n_points,
         convergence_estimate=estimate,
     )
-
-
-def _mean(x: np.ndarray) -> float:
-    return float(np.mean(x))
 
 
 @dataclass(frozen=True)
@@ -489,7 +495,8 @@ def run_identity_suite(
     n_cases: int, seed: int = 0, grid: FrequencyGrid | None = None
 ) -> list[SuiteCase]:
     """Decompose n_cases random stabilized loops, cross-checking on each that
-    the rate equals the entropy-rate difference h(Y) - h(W)."""
+    the rate equals the entropy-rate difference h(Y) - h(W), taken from the
+    S_Y and S_W the decomposition read."""
     _check_int(n_cases, "n_cases")
     if n_cases < 0:
         raise InvalidInputError(f"n_cases must be >= 0, got {n_cases!r}")
@@ -506,10 +513,10 @@ def run_identity_suite(
             channel_noise=replace(model.channel_noise),
             output_disturbance=replace(model.output_disturbance),
         )
-        report = decompose(RateInputs(probe, grid))
+        kept = []
+        report = _decompose(RateInputs(probe, grid), kept.append, stacklevel=2)
         sw = noise_psd(probe.channel_noise, grid)
-        sy = output_psd(close_loop(probe), sw, noise_psd(probe.output_disturbance, grid))
-        chain = gaussian_entropy_rate(sy) - gaussian_entropy_rate(sw)
+        chain = gaussian_entropy_rate(kept.pop()) - gaussian_entropy_rate(sw)
         cases.append(
             SuiteCase(
                 model=model,

@@ -15,7 +15,6 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     ConsistencyError,
@@ -39,10 +38,11 @@ def _unstable(p: complex) -> bool:
 
 
 def _strip_trailing_zeros(coeffs: Sequence[float]) -> tuple[float, ...]:
-    c = list(float(x) for x in coeffs)
-    while len(c) > 1 and c[-1] == 0.0:
-        c.pop()
-    return tuple(c)
+    c = tuple(map(float, coeffs))
+    k = len(c)
+    while k > 1 and c[k - 1] == 0.0:
+        k -= 1
+    return c[:k]
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,11 @@ class Polynomial:
         return Polynomial(np.convolve(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(npoly.polysub(self.coeffs, other.coeffs))
+        # numpy's polysub bit for bit, -0.0 included: it forms (-y) + x, equal
+        # to x - y, when other is longer, whose own terms it negates
+        a, b = self.coeffs, other.coeffs
+        k = min(len(a), len(b))
+        return Polynomial(tuple(x - y for x, y in zip(a, b)) + a[k:] + tuple(-y for y in b[k:]))
 
     def scaled(self, a: float) -> "Polynomial":
         if a == 1.0:  # exact: keep this object and its computed roots

@@ -72,14 +72,15 @@ class FrequencyGrid:
         return _unit_circle(self.n_points)
 
 
-def _owned(cls, *fields):
+def _owned(cls, *fields, **flags):
     """An instance of cls taking over fields whose arrays are new and held by
     no one else, through cls._adopt, which makes them read-only but does not
     copy them. SpectrumSamples._adopt validates them as the copying
-    constructor does; TrajectorySet._adopt takes simulate_loop's record,
+    constructor does, trusting even=True from callers that built them with
+    _mirror or np.full; TrajectorySet._adopt takes simulate_loop's record,
     whose construction proves the constructor's checks."""
     obj = cls.__new__(cls)
-    obj._adopt(*fields)
+    obj._adopt(*fields, **flags)
     return obj
 
 
@@ -107,10 +108,11 @@ class SpectrumSamples:
 
     The values are checked in order: finite, nonnegative, then even, sample k
     matching its mirror n - k within 1e-300 + 1e-9 times the mirror. An
-    exactly even spectrum, as every library spectrum on an analytic path is,
-    passes the last check in one comparison, and the first two on its first
-    n/2 + 1 samples; output_psd, sensitivity_ratio and log_integral then
-    form their samples on that half too (see _elementwise).
+    exactly even spectrum, as every library spectrum on an analytic path is
+    by construction (see _owned), skips or passes the last check in one
+    comparison, and the first two on its first n/2 + 1 samples, in one min
+    and one max (see _check_psd_values); output_psd, sensitivity_ratio and
+    log_integral then form their samples on that half too (see _elementwise).
     """
 
     grid: FrequencyGrid
@@ -119,13 +121,13 @@ class SpectrumSamples:
     def __init__(self, grid: FrequencyGrid, values):
         self._adopt(grid, _real_array(values, "spectrum values"))
 
-    def _adopt(self, grid: FrequencyGrid, v: np.ndarray) -> None:
+    def _adopt(self, grid: FrequencyGrid, v: np.ndarray, even: bool = False) -> None:
         if v.shape != (grid.n_points,):
             raise InvalidInputError(
                 f"expected {grid.n_points} samples, got shape {v.shape}"
             )
         tail, mirror = v[1:], v[:0:-1]  # sample 0 is its own mirror
-        even = np.array_equal(tail, mirror)
+        even = even or np.array_equal(tail, mirror)
         # the samples that determine the rest: n/2 + 1 if exactly even
         span = grid.n_points // 2 + 1 if even else grid.n_points
         _check_psd_values(v[:span], grid.omegas)
@@ -149,7 +151,10 @@ def _check_psd_values(v: np.ndarray, omegas: np.ndarray) -> None:
     """SpectrumSamples' value checks, on a spectrum's samples, or on the first
     n/2 + 1 of an exactly even one: every sample finite, then none negative,
     the first smallest one named if one is (in the first n/2 + 1, as its
-    mirrors lie at higher indices)."""
+    mirrors lie at higher indices). A nonnegative min and a finite max pass
+    at once; a failing spectrum runs the two checks in that order."""
+    if v.min() >= 0.0 and v.max() < np.inf:  # NaN fails both comparisons
+        return
     if not np.all(np.isfinite(v)):
         raise InvalidInputError("spectrum contains non-finite values")
     if np.any(v < 0.0):
@@ -238,7 +243,7 @@ def noise_psd(spec: NoiseSpec, grid: FrequencyGrid) -> SpectrumSamples:
             what = "shaping filter vanishes on the unit circle"
             _raise_at_sample(SingularityError, what, grid.omegas, int(np.argmin(values)))
         values *= spec.variance
-        psd = spec._psd[grid.n_points] = _owned(SpectrumSamples, grid, values)
+        psd = spec._psd[grid.n_points] = _owned(SpectrumSamples, grid, values, even=True)
     return psd
 
 
@@ -282,11 +287,12 @@ def output_psd(
 
 def _output_spectrum(fwy, fvy, sw: SpectrumSamples, sv: SpectrumSamples) -> SpectrumSamples:
     """|F_wy|^2 * S_W + |F_vy|^2 * S_V, from exactly even squared gains."""
+    span = max(sw._span, sv._span)
     values = _elementwise(
         lambda a, b, c, d, out: np.add(np.multiply(a, b, out=out), c * d, out=out),
-        max(sw._span, sv._span), fwy, sw.values, fvy, sv.values,
+        span, fwy, sw.values, fvy, sv.values,
     )
-    return _owned(SpectrumSamples, sw.grid, values)
+    return _owned(SpectrumSamples, sw.grid, values, even=span < len(values))
 
 
 def _closed_loop_gains(cl: ClosedLoop, grid: FrequencyGrid, keep: bool = True):
@@ -325,7 +331,7 @@ def sensitivity_ratio(sa: SpectrumSamples, sb: SpectrumSamples) -> SpectrumSampl
         )
     if not ratio[:span].max() < np.inf:
         raise InvalidInputError(_RATIO_OVERFLOW)
-    return _owned(SpectrumSamples, sa.grid, ratio)
+    return _owned(SpectrumSamples, sa.grid, ratio, even=span < len(ratio))
 
 
 def _divisor(values: np.ndarray, omegas: np.ndarray) -> np.ndarray:
@@ -342,7 +348,8 @@ def log_integral(s: SpectrumSamples) -> float:
     mean of the log samples and converges spectrally for integrands analytic
     near the unit circle. A nonpositive sample raises LogDomainError, and a
     near-singular one warns (see _first_low). An exactly even s has its logs
-    formed on half the grid (see _elementwise); the mean is over all n.
+    formed on half the grid (see _elementwise); the mean is over all n, with
+    np.mean's bits (see _mean).
     """
     if _first_low("log integrand", s.values[: s._span], s.grid.omegas) is not None:
         warnings.warn(
@@ -351,13 +358,21 @@ def log_integral(s: SpectrumSamples) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-    return float(np.mean(_elementwise(np.log, s._span, s.values)))
+    return _mean(_elementwise(np.log, s._span, s.values))
+
+
+def _mean(x: np.ndarray) -> float:
+    """float(np.mean(x)) bit for bit, its pairwise sum without its wrapper."""
+    return float(np.add.reduce(x)) / x.size
 
 
 def _first_low(label: str, vals: np.ndarray, omegas: np.ndarray) -> int | None:
     """The log-domain rule: the index of the first sample of vals below
     NEAR_SINGULAR_FLOOR (None if none); raises LogDomainError at the first
-    sample that is not positive."""
+    sample that is not positive. A min at or above the floor settles it; a
+    NaN fails that test, then passes both scans."""
+    if vals.min() >= NEAR_SINGULAR_FLOOR:
+        return None
     _raise_at_sample(LogDomainError, f"nonpositive {label}", omegas, vals <= 0.0, vals)
     low = vals < NEAR_SINGULAR_FLOOR
     return int(np.argmax(low)) if np.any(low) else None

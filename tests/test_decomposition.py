@@ -914,3 +914,26 @@ def test_identity_suite_is_seeded():
     b = run_identity_suite(3, seed=9)
     for ca, cb in zip(a, b):
         assert ca.report.total_rate == cb.report.total_rate
+
+
+def test_identity_suite_forms_each_output_spectrum_once(monkeypatch):
+    """The entropy route reads the S_Y its case's decomposition formed: one
+    formation a case, and the gap an output_psd formed afresh gives."""
+    formed = []
+    real = spectral._output_spectrum
+
+    def counting(*args):
+        formed.append(args)
+        return real(*args)
+
+    for module in (spectral, decomposition):
+        monkeypatch.setattr(module, "_output_spectrum", counting)
+    cases = run_identity_suite(10, seed=0)
+    assert len(formed) == 10
+    monkeypatch.undo()
+    grid = FrequencyGrid()
+    for case in cases:
+        sw = noise_psd(case.model.channel_noise, grid)
+        sy = output_psd(close_loop(case.model), sw, noise_psd(case.model.output_disturbance, grid))
+        chain = gaussian_entropy_rate(sy) - gaussian_entropy_rate(sw)
+        assert case.proof_chain_gap == abs(case.report.total_rate - chain)

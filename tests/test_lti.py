@@ -60,6 +60,30 @@ def test_polynomial_arithmetic():
     assert p.scaled(3.0).coeffs == (3.0, 3.0)
 
 
+def test_polynomial_difference_matches_numpy_polysub_bit_for_bit():
+    """Unequal lengths, trailing zeros, -0.0 on either side, and differences
+    that cancel to zero, against numpy's polysub on the same coefficients."""
+    from numpy.polynomial import polynomial as npoly
+
+    rng = np.random.default_rng(32)
+    pool = [0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -7e299]
+    pairs = [((1.0, 2.0), (1.0, 2.0)), ((0.0, -0.0, 3.0), (-0.0, 0.0, 3.0)), ((-0.0,), (0.0,))]
+    for _ in range(2000):
+        a = [float(x) for x in rng.choice(pool, size=rng.integers(1, 6))]
+        b = [float(x) for x in rng.choice(pool, size=rng.integers(1, 6))]
+        if rng.random() < 0.2:
+            b = a[: rng.integers(1, len(a) + 1)] + [0.0] * int(rng.integers(0, 3))
+        pairs.append((a, b))
+    cancelled = 0
+    for a, b in pairs:
+        p, q = Polynomial(a), Polynomial(b)
+        got = (p - q).coeffs
+        want = Polynomial(npoly.polysub(p.coeffs, q.coeffs)).coeffs
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (a, b)
+        cancelled += got == (0.0,)
+    assert cancelled > 100
+
+
 coeff_lists = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=1, max_size=5
 )

@@ -322,6 +322,114 @@ def test_spectra_even_only_within_the_tolerance_take_all_n_samples():
     assert _library_routes(cl, sw, sv, sy) == _all_n_formulas(cl, g, sw, sv, sy)
 
 
+def test_evenness_is_compared_only_for_spectra_not_built_even(monkeypatch):
+    """noise_psd, and output_psd and sensitivity_ratio when they mirror, form
+    exactly even values and take the half without comparing the mirrors; a
+    caller's values and welch_psd's interpolated spectrum are compared."""
+    n = 4096
+    g = FrequencyGrid(n)
+    compared = []
+    array_equal = np.array_equal
+
+    def counting(a, b):
+        compared.append(len(a))
+        return array_equal(a, b)
+
+    monkeypatch.setattr(spectral.np, "array_equal", counting)
+    model = _even_test_model()
+    sw = noise_psd(model.channel_noise, g)
+    sv = noise_psd(model.output_disturbance, g)
+    sy = output_psd(close_loop(model), sw, sv)
+    built = [sw, sv, noise_psd(white(2.0), g), sy, sensitivity_ratio(sy, sw)]
+    assert compared == []
+    assert all(s._span == n // 2 + 1 for s in built)
+    x = np.random.default_rng(0).standard_normal(2**14)
+    welch = welch_psd(x, grid=g)
+    assert compared == [n - 1]
+    # the mirrors of its 1024 bins, interpolated, differ only by rounding
+    assert welch._span == n
+    assert SpectrumSamples(g, sy.values)._span == n // 2 + 1
+    assert compared == [n - 1, n - 1]
+
+
+def _ones_with(pairs, mirrored=True, n=64):
+    """Ones, with each (index, value) set at index and, if mirrored, at its
+    mirror n - index (sample 0 is its own)."""
+    v = np.ones(n)
+    for k, value in pairs:
+        v[k] = value
+        if mirrored:
+            v[-k] = value
+    return v
+
+
+NEGATIVE = "negative PSD value {} at omega={!r}"
+NON_FINITE = "spectrum contains non-finite values"
+
+
+@pytest.mark.parametrize(
+    "pairs, mirrored, message, at",
+    [
+        ([(20, np.nan)], True, NON_FINITE, None),
+        ([(20, np.inf)], True, NON_FINITE, None),
+        ([(20, -np.inf)], True, NON_FINITE, None),
+        ([(0, np.nan)], True, NON_FINITE, None),
+        ([(44, np.nan)], False, NON_FINITE, None),
+        ([(10, -1.0), (30, np.nan)], True, NON_FINITE, None),  # finiteness first
+        ([(20, -1.0)], True, NEGATIVE, (20, -1.0)),
+        ([(32, -1.0)], True, NEGATIVE, (32, -1.0)),
+        ([(10, -1.0), (20, -2.0)], True, NEGATIVE, (20, -2.0)),  # the smallest
+        ([(44, -1.0)], False, NEGATIVE, (44, -1.0)),  # sign before evenness
+        ([(20, 1.5)], False, "spectrum is not even-symmetric on the grid", None),
+    ],
+)
+def test_spectrum_checks_raise_in_order_naming_the_sample(pairs, mirrored, message, at):
+    g = FrequencyGrid(64)
+    with pytest.raises(InvalidInputError) as caught:
+        SpectrumSamples(g, _ones_with(pairs, mirrored))
+    if at is not None:
+        k, value = at
+        message = message.format(value, float(g.omegas[k]))
+        assert (caught.value.omega, caught.value.value) == (float(g.omegas[k]), value)
+    assert str(caught.value) == message
+
+
+def _unchecked(g, values):
+    """A SpectrumSamples holding values that the constructor would reject."""
+    s = object.__new__(SpectrumSamples)
+    for name, value in (("grid", g), ("values", values), ("_span", g.n_points // 2 + 1)):
+        object.__setattr__(s, name, value)
+    return s
+
+
+def test_log_integral_domain_rule_on_single_samples():
+    g = FrequencyGrid(64)
+    omega = float(g.omegas[20])
+    for value in (0.0, -0.0):
+        with pytest.raises(LogDomainError) as caught:
+            log_integral(SpectrumSamples(g, _ones_with([(20, value)])))
+        assert str(caught.value) == f"nonpositive log integrand {value!r} at omega={omega!r}"
+    low = _ones_with([(20, 1e-13)])
+    with pytest.warns(RuntimeWarning, match="near-singular samples"):
+        assert log_integral(SpectrumSamples(g, low)) == float(np.mean(np.log(low)))
+    # a NaN sample is neither nonpositive nor low: no error, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(log_integral(_unchecked(g, _ones_with([(20, np.nan)]))))
+        assert spectral._first_low("x", _ones_with([(5, np.nan)]), g.omegas) is None
+        low_after_nan = _ones_with([(5, np.nan), (20, 1e-13)])
+        assert spectral._first_low("x", low_after_nan, g.omegas) == 20
+    with pytest.raises(LogDomainError, match=f"nonpositive x 0.0 at omega={omega!r}"):
+        spectral._first_low("x", _ones_with([(5, np.nan), (20, 0.0)]), g.omegas)
+
+
+@pytest.mark.parametrize("n", [64, 4096, 65536])
+def test_mean_is_numpys_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for x in (rng.standard_normal(n), np.log(rng.uniform(1e-9, 1e9, n)), np.full(n, 0.1)):
+        assert spectral._mean(x) == float(np.mean(x))
+
+
 def test_output_psd_passthrough_and_worked_example(worked_model):
     g = FrequencyGrid(256)
     sw = noise_psd(white(1.0), g)
