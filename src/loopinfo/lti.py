@@ -15,6 +15,7 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     ConsistencyError,
@@ -49,7 +50,8 @@ def _strip_trailing_zeros(coeffs: Sequence[float]) -> tuple[float, ...]:
 class Polynomial:
     """Real polynomial in the delay variable, ascending coefficients; being
     immutable, it computes its z-plane roots once, on first use, by
-    _companion_roots: the roots np.roots gives, bit for bit."""
+    _companion_roots: the roots np.roots gives, bit for bit, from one call
+    to LAPACK's eigensolver."""
 
     coeffs: tuple[float, ...]
 
@@ -89,11 +91,35 @@ class Polynomial:
         c = self.coeffs
         lead = next((x for x in c if x != 0.0), 1.0)  # the companion row divides by it
         try:
-            if all(math.isfinite(x / lead) for x in c):  # else eigvals warns, then fails
+            if all(math.isfinite(x / lead) for x in c):  # else the companion row is not finite
                 return _companion_roots(c) if self.degree else ()
         except np.linalg.LinAlgError:
             pass
         raise InvalidInputError(f"cannot compute the roots of {c}: too wide a coefficient range")
+
+
+# LAPACK's eigensolver (geev) and linear solver (gesv): the gufuncs that
+# numpy.linalg's eigvals and solve call, called here without those
+# wrappers' checks and casts, on finite float64 arrays.
+_geev = _umath_linalg.eigvals
+_gesv = _umath_linalg.solve1
+
+
+def _did_not_converge(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _lapack_errstate(callback) -> np.errstate:
+    """numpy.linalg's error state around a LAPACK gufunc: a failure comes
+    back as a floating-point invalid flag, which calls callback to raise
+    LinAlgError. A fresh one per call: numpy 2 will not re-enter one."""
+    return np.errstate(
+        call=callback, invalid="call", over="ignore", divide="ignore", under="ignore"
+    )
 
 
 # LAPACK's geev rescales a matrix whose largest entry lies outside about
@@ -102,27 +128,42 @@ class Polynomial:
 _EXACT_1X1 = (2.0**-400, 2.0**400)
 
 
+@lru_cache(maxsize=32)
+def _subdiagonal(n: int) -> np.ndarray:
+    a = np.eye(n, k=-1)
+    a.flags.writeable = False
+    return a
+
+
 def _companion_roots(c: tuple[float, ...]) -> tuple[complex, ...]:
-    """The z-plane roots of ascending-d coefficients c (last one nonzero):
-    np.roots(c), bit for bit and in its order, without its wrapper.
+    """The z-plane roots of ascending-d coefficients c (last one nonzero,
+    each finite over the first nonzero one): np.roots(c), bit for bit and
+    in its order, at the cost of LAPACK's geev alone.
 
     Leading zeros, pure delays whose roots lie at infinity, are dropped, as
     np.roots drops them. The rest's companion matrix, with row
     -c[1:]/c[0] over a unit subdiagonal, is np.roots' own, and goes to the
-    same eigensolver; at degree 1 its one entry is the root, unless it lies
-    where that solver would rescale it.
+    same eigensolver under the same error state as numpy.linalg's eigvals;
+    the roots are real, as there, when no imaginary part is nonzero. At
+    degree 1 the matrix's one entry is the root, unless it lies where that
+    solver would rescale it.
     """
     p = c[next(i for i, x in enumerate(c) if x != 0.0):]
     n = len(p) - 1
     if n == 0:
         return ()
+    p0 = p[0]
     if n == 1:
-        r = -p[1] / p[0]
+        r = -p[1] / p0
         if _EXACT_1X1[0] < abs(r) < _EXACT_1X1[1]:
             return (complex(r),)
-    a = np.eye(n, k=-1)
-    a[0] = -np.array(p[1:]) / p[0]
-    return tuple(map(complex, np.linalg.eigvals(a).tolist()))
+    a = _subdiagonal(n).copy()
+    a[0] = [-x / p0 for x in p[1:]]  # numpy's -p[1:] / p0, one IEEE op each
+    with _lapack_errstate(_did_not_converge):
+        w = _geev(a, signature="d->D").tolist()
+    if any(z.imag for z in w):
+        return tuple(w)
+    return tuple(complex(z.real) for z in w)
 
 
 def poly_roots(p: Polynomial) -> list[complex]:
@@ -130,9 +171,9 @@ def poly_roots(p: Polynomial) -> list[complex]:
 
     Delay factors (zero constant term) put roots at infinity, which are
     omitted; every returned root is finite. They are the eigenvalues of
-    np.roots' companion matrix, equal to np.roots bit for bit and in its
-    order (see _companion_roots), taken once per polynomial; each call
-    returns a fresh list.
+    np.roots' companion matrix, taken from LAPACK's geev directly, equal to
+    np.roots bit for bit and in its order (see _companion_roots), once per
+    polynomial; each call returns a fresh list.
     """
     return list(p._roots)
 
@@ -596,7 +637,8 @@ def pole_placement_controller(
     rhs[: len(char)] = char
 
     try:
-        sol = np.linalg.solve(a, rhs)
+        with _lapack_errstate(_singular):
+            sol = _gesv(a, rhs, signature="dd->d")
     except np.linalg.LinAlgError as exc:
         raise InvalidInputError(f"pole placement system is singular: {exc}") from exc
     x, y = sol[:n], sol[n:]

@@ -293,10 +293,11 @@ def _peak_arrays(fn) -> float:
 
 def test_decompose_peak_allocation_at_65536_points():
     """A warm call, reading the source PSDs and closed-loop gains the first
-    call kept: measured 2.57 arrays, |H|^2, S_Y and the half-size
-    sensitivity ratio, then one integrand scratch array once S_Y is dropped,
-    the integrands formed on the n/2 + 1 samples with omega in [-pi, 0] and
-    mirrored (3.57 while S_Y was held until the integrands were formed).
+    call kept: measured 2.50 arrays, |H|^2, S_Y and the half-size
+    sensitivity ratio; once S_Y is dropped each integrand is formed in
+    |H|^2's array, on the n/2 + 1 samples with omega in [-pi, 0], and
+    mirrored (2.57 while the integrands had a scratch array of their own,
+    3.57 while S_Y was held until the integrands were formed).
     Before the model's objects kept their samples every call peaked at 7.57
     (9.13 while the integrands were formed on all n, 14.26 before the
     integrands, spectrum checks and unit-circle evaluation were made to work
@@ -384,11 +385,13 @@ def _first_call_peak_arrays(fn, grid) -> float:
 
 def test_first_call_peak_allocation_at_65536_points():
     """The peaks above, on a first call, which forms the sources' spectra
-    and the closed loops' gains that later calls read: measured 6.58 arrays
-    for decompose (7.58 while S_Y was held until the integrands were formed)
-    and 6.02 for the four-controller check, as before the model's objects
-    kept them. Each controller's gains go with its candidate model, so no
-    more than one controller's are alive at a time."""
+    and the closed loops' gains that later calls read: measured 6.51 arrays
+    for decompose, its integrands formed in |H|^2's array (6.58 while they
+    had a scratch array of their own, 7.58 while S_Y was held until the
+    integrands were formed) and 6.02 for the four-controller check, as
+    before the model's objects kept them. Each controller's gains go with
+    its candidate model, so no more than one controller's are alive at a
+    time."""
     grid = FrequencyGrid(65536)
     controllers = [placed(t) for t in TARGETS + ([0.3, -0.1, 0.0],)]
 

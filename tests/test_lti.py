@@ -1,5 +1,6 @@
 """Transfer-function algebra: polynomials, reduction, loop closure, placement."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -171,13 +172,31 @@ def test_roots_are_np_roots_bit_for_bit(delay, coeffs):
 
 
 def test_roots_solver_failure_is_an_input_error(monkeypatch):
-    def fail(a):
+    def fail(a, signature):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    monkeypatch.setattr(lti, "_geev", fail)
     coeffs = (1.0, -0.5, 0.25)
     with pytest.raises(InvalidInputError) as info:
         poly_roots(Polynomial(coeffs))
+    assert str(info.value) == (
+        f"cannot compute the roots of {coeffs}: too wide a coefficient range"
+    )
+
+
+def _raise_invalid(*args, signature):
+    # a floating-point invalid, the flag by which LAPACK's gufuncs report failure
+    return np.sqrt(np.array([-1.0]))
+
+
+def test_roots_solver_invalid_flag_is_an_input_error_without_a_warning(monkeypatch):
+    monkeypatch.setattr(lti, "_geev", _raise_invalid)
+    coeffs = (1.0, -0.5, 0.25)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidInputError) as info:
+            poly_roots(Polynomial(coeffs))
+    assert caught == []
     assert str(info.value) == (
         f"cannot compute the roots of {coeffs}: too wide a coefficient range"
     )
@@ -595,6 +614,29 @@ def test_placement_repeated_pole_plant():
     assert is_stabilizing(
         LoopModel(plant, k, TF_ONE, white(1.0), white(1.0))
     ).is_stabilizing
+
+
+def test_placement_solver_invalid_flag_is_an_input_error_without_a_warning(monkeypatch):
+    monkeypatch.setattr(lti, "_gesv", _raise_invalid)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidInputError) as info:
+            pole_placement_controller(tf([0.0, 1.0], [1.0, -2.0]), [0.0])
+    assert caught == []
+    assert str(info.value) == "pole placement system is singular: Singular matrix"
+
+
+def test_placement_singular_system_is_an_input_error(monkeypatch):
+    # LAPACK's own singular-pivot report, from a zeroed Sylvester matrix
+    solve = lti._gesv
+
+    def zeroed(a, b, signature):
+        return solve(0.0 * a, b, signature=signature)
+
+    monkeypatch.setattr(lti, "_gesv", zeroed)
+    with pytest.raises(InvalidInputError) as info:
+        pole_placement_controller(tf([0.0, 1.0], [1.0, -2.0]), [0.0])
+    assert str(info.value) == "pole placement system is singular: Singular matrix"
 
 
 def test_placement_input_guards():
