@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, replace
 
 from .config import _number, _transfer, load_config
@@ -254,11 +255,28 @@ def _run(args):
     return args.func(args, cfg, factor, units, grid)
 
 
+def _run_showing_each_warning_once(args):
+    """_run, each distinct warning shown once, after the run: verify's
+    decompose and independence check compare against the same exact Jensen
+    values and warn alike. The caller's filters still decide what is shown,
+    and an "error" filter still raises at the first."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            return _run(args)
+    finally:
+        shown = set()
+        for w in caught:
+            key = (w.category, str(w.message))
+            if key not in shown:
+                shown.add(key)
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text, code = _run(args)
+        text, code = _run_showing_each_warning_once(args)
         if args.output:
             with open(args.output, "w") as fh:
                 fh.write(text)

@@ -300,8 +300,8 @@ TF_ZERO = tf([0.0])
 
 def freq_response_array(tf_: TransferFunction, omegas: np.ndarray) -> np.ndarray:
     """Vectorized unit-circle response over an array of frequencies, as a
-    new complex array (see _unit_circle_points and unit_circle_response for
-    the temporaries it avoids).
+    new complex array (see unit_circle_response for the temporaries it
+    avoids).
 
     A grid's own frequencies, the read-only array FrequencyGrid.omegas
     returns, are evaluated at that grid's cached points e^{-j omega}, only
@@ -328,18 +328,8 @@ def freq_response_array(tf_: TransferFunction, omegas: np.ndarray) -> np.ndarray
 
 
 def _unit_circle_points(omegas: np.ndarray) -> np.ndarray:
-    """e^{-j omega} for real omegas, as a new complex array.
-
-    cos(omega) and -sin(omega) are written straight into its real and
-    imaginary parts: the bits of np.exp(-1j * omegas), whose complex exp
-    also takes the C library's cosine and sine, without that expression's
-    second complex array for the argument.
-    """
-    e = np.empty(omegas.shape, dtype=complex)
-    np.cos(omegas, out=e.real)
-    np.negative(omegas, out=e.imag)
-    np.sin(e.imag, out=e.imag)
-    return e
+    """e^{-j omega} for real omegas, as a new complex array."""
+    return np.exp(-1j * omegas)
 
 
 # Grids are rebuilt freely (each defaulted grid argument is a new one), so

@@ -1,5 +1,12 @@
-"""End-to-end command-line checks through fresh interpreter processes."""
+"""The command-line contract: exit codes, stdout and stderr of each mode.
 
+Most checks call loopinfo.cli.main in this process. Those about a fresh
+interpreter run `python -m loopinfo.cli`: what importing the CLI loads,
+output that must not change between processes or BLAS thread counts, and
+warnings as a user sees them on stderr.
+"""
+
+import contextlib
 import csv
 import io
 import json
@@ -10,24 +17,50 @@ import sys
 
 import pytest
 
-CMD = [sys.executable, "-m", "loopinfo.cli"]
+from loopinfo.cli import main
 
 
-def run_cli(*args, **kwargs):
+def run_cli(*args):
+    """main(args) in this process: its exit code (argparse's usage errors
+    included) and what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_fresh(*args, **kwargs):
+    """The CLI in a fresh interpreter."""
     return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, **kwargs
+        [sys.executable, "-m", "loopinfo.cli", *args], capture_output=True, text=True,
+        **kwargs
     )
 
 
-def test_cli_import_loads_no_scipy():
+@pytest.fixture(scope="module")
+def cli_import_adds():
+    """The modules that importing the CLI adds to a fresh interpreter that
+    has imported numpy (numpy 1.x loads numpy.polynomial itself)."""
     code = (
-        "import sys, loopinfo.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import json, sys, numpy; before = set(sys.modules); import loopinfo.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_no_scipy(cli_import_adds):
+    assert [m for m in cli_import_adds if m.split(".")[0] == "scipy"] == []
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded(cli_import_adds):
+    assert "loopinfo.cli" in cli_import_adds
+    assert [m for m in cli_import_adds if m.startswith("numpy.polynomial")] == []
 
 
 @pytest.fixture
@@ -56,6 +89,34 @@ def unstable_config(tmp_path):
     return path
 
 
+def write_config(tmp_path, name, **fields):
+    """P = d/(1 - 2d) under K = -2 with the given config fields, as name.json."""
+    cfg = {"plant": {"num": [0.0, 1.0], "den": [1.0, -2.0]}, "controller": {"num": [-2.0]}}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**cfg, **fields}))
+    return path
+
+
+SIMULATE_CASES = {
+    # a colored disturbance: its row is a product
+    "colored": {
+        "output_disturbance": {"kind": "colored", "variance": 0.5,
+                               "shaping": {"num": [1.0], "den": [1.0, -0.9]}},
+        "options": {"n_samples": 16384},
+    },
+    # a silent disturbance: no draw
+    "silent": {
+        "output_disturbance": {"kind": "white", "variance": 0.0},
+        "options": {"n_samples": 16384},
+    },
+    # a silent one whose record ends inside a 64-sample block: zeroed padding
+    "padded": {
+        "output_disturbance": {"kind": "white", "variance": 0.0},
+        "options": {"n_samples": 16411},
+    },
+}
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -82,8 +143,9 @@ def test_analyze_bits_flag(loop_config):
 
 
 def test_analyze_grid_override(loop_config):
-    res = run_cli("analyze", "--grid", "1024", str(loop_config))
-    assert json.loads(res.stdout)["rate"]["grid_points"] == 1024
+    for n in (1024, 65536):
+        res = run_cli("analyze", "--grid", str(n), str(loop_config))
+        assert json.loads(res.stdout)["rate"]["grid_points"] == n
 
 
 def test_analyze_unstable_exits_2(unstable_config):
@@ -126,6 +188,9 @@ def test_analyze_vanishing_shaping_filter_names_a_float_omega(tmp_path):
         # the loop gain's coefficient 1e400 is not a float
         ({"num": [0.0, 1e200]}, {"num": [1e200]},
          "config: non-finite polynomial coefficients"),
+        # a JSON integer of 401 digits is not a float
+        ({"num": [0.0, int("1" + "0" * 400)]}, {"num": [-2.0]},
+         "config.plant.num[1]: integer too large for a float"),
     ],
 )
 def test_analyze_coefficients_out_of_float_range_exit_1(tmp_path, plant, controller,
@@ -163,15 +228,18 @@ def test_analyze_missing_file_exits_1(tmp_path):
 def test_analyze_writes_output_and_integrands(loop_config, tmp_path):
     out = tmp_path / "report.json"
     csv_path = tmp_path / "parts.csv"
-    res = run_cli(
-        "analyze", str(loop_config), "--output", str(out), "--integrands", str(csv_path)
-    )
-    assert res.returncode == 0
-    doc = json.loads(out.read_text())
-    assert doc["rate"]["total_rate"] == pytest.approx(1.03972077084, abs=1e-10)
-    rows = list(csv.reader(io.StringIO(csv_path.read_text())))
-    assert rows[0] == ["omega", "log_Syw", "log_Fwy", "disturbance_integrand"]
-    assert len(rows) == 4097
+    for grid, n in (((), 4096), (("--grid", "1024"), 1024)):
+        res = run_cli(
+            "analyze", str(loop_config), *grid, "--output", str(out),
+            "--integrands", str(csv_path),
+        )
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(out.read_text())
+        assert doc["rate"]["grid_points"] == n
+        assert doc["rate"]["total_rate"] == pytest.approx(1.03972077084, abs=1e-10)
+        rows = list(csv.reader(io.StringIO(csv_path.read_text())))
+        assert rows[0] == ["omega", "log_Syw", "log_Fwy", "disturbance_integrand"]
+        assert len(rows) == n + 1
 
 
 def test_usage_error_exits_1():
@@ -193,20 +261,23 @@ def test_seed_is_offered_only_where_it_is_read(loop_config):
 
 
 def test_verify_fixed_loop_with_alternatives(loop_config):
-    res = run_cli(
-        "verify",
-        str(loop_config),
-        "--alt-controller", "[-2.5]", "[1.0]",
-        "--alt-controller", "[-1.5]", "[1.0]",
-    )
-    assert res.returncode == 0, res.stderr
-    doc = json.loads(res.stdout)
-    assert doc["residual_pass"] is True
-    assert abs(doc["residual"]) < 1e-8
-    ind = doc["independence"]
-    assert ind["passed"] is True
-    assert ind["max_deviation"] < 1e-9
-    assert len(ind["disturbance_terms"]) == 3  # the config's controller plus two
+    for grid, n in (((), 4096), (("--grid", "65536"), 65536)):
+        res = run_cli(
+            "verify",
+            str(loop_config),
+            *grid,
+            "--alt-controller", "[-2.5]", "[1.0]",
+            "--alt-controller", "[-1.5]", "[1.0]",
+        )
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(res.stdout)
+        assert doc["grid_points"] == n
+        assert doc["residual_pass"] is True
+        assert abs(doc["residual"]) < 1e-8
+        ind = doc["independence"]
+        assert ind["passed"] is True
+        assert ind["max_deviation"] < 1e-9
+        assert len(ind["disturbance_terms"]) == 3  # the config's controller plus two
 
 
 def test_verify_random_suite():
@@ -219,6 +290,19 @@ def test_verify_random_suite():
     assert doc["max_proof_chain_gap"] < 1e-10
     assert doc["passed"] is True
     assert "5/5" in doc["note"]
+
+
+def test_verify_random_suite_at_the_fine_grid():
+    """50 loops at 65536 points, the entropy route included. On a numpy
+    build other than the one test_lean_evaluation recorded its bits on, this
+    is the suite's only check at this grid."""
+    res = run_cli("verify", "--random", "50", "--seed", "71", "--grid", "65536")
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["cases"] == 50
+    assert doc["passed"] is True
+    assert doc["max_residual"] < 1e-8
+    assert doc["max_proof_chain_gap"] < 1e-10
 
 
 def test_verify_random_zero_cases_is_vacuous():
@@ -288,6 +372,29 @@ def test_verify_alt_controller_coefficients_are_checked_as_in_a_config(
 def test_verify_non_stabilizing_alternative_exits_2(loop_config):
     res = run_cli("verify", str(loop_config), "--alt-controller", "[0.1]", "[1.0]")
     assert res.returncode == 2
+    assert "controller #1 " in res.stderr  # the config's own controller is #0
+
+
+# a disturbance pole at 0.9999: the 4096-point quadrature is 2.7e-4 nats off
+# the exact Jensen values, which decompose and the independence check both find
+NEAR_CIRCLE_DISTURBANCE = {
+    "output_disturbance": {"kind": "colored", "variance": 1.0,
+                           "shaping": {"num": [1.0], "den": [1.0, -0.9999]}},
+}
+
+
+def test_verify_prints_a_warning_found_twice_once(tmp_path):
+    res = run_fresh("verify", str(write_config(tmp_path, "near", **NEAR_CIRCLE_DISTURBANCE)))
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.count("RuntimeWarning: quadrature on 4096 points is 0.000266") == 1
+    assert res.stderr.count("Warning") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_warning_raises_under_an_error_filter(tmp_path):
+    path = write_config(tmp_path, "near", **NEAR_CIRCLE_DISTURBANCE)
+    with pytest.raises(RuntimeWarning, match="quadrature on 4096 points"):
+        run_cli("verify", str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +410,23 @@ def test_simulate_is_deterministic(loop_config):
     assert doc["seed"] == 1
     assert doc["passed"] is True
     assert doc["abs_gap"] < 0.03
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
+def test_simulate_is_byte_identical_in_two_fresh_interpreters(tmp_path, case):
+    path = write_config(tmp_path, case, **SIMULATE_CASES[case])
+    a = run_fresh("simulate", str(path))
+    b = run_fresh("simulate", str(path))
+    assert a.returncode == 0, a.stderr
+    json.loads(a.stdout)
+    assert a.stdout == b.stdout
+
+
+def test_simulate_checks_against_the_total_rate_analyze_prints(tmp_path):
+    path = write_config(tmp_path, "colored", **SIMULATE_CASES["colored"])
+    sim = json.loads(run_cli("simulate", str(path)).stdout)
+    rate = json.loads(run_cli("analyze", str(path)).stdout)["rate"]
+    assert sim["analytic_rate"] == rate["total_rate"]
 
 
 def test_simulate_is_byte_identical_across_blas_thread_counts(tmp_path):
@@ -321,8 +445,8 @@ def test_simulate_is_byte_identical_across_blas_thread_counts(tmp_path):
     threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
     default = {k: v for k, v in os.environ.items() if k not in threads}
     single = dict(default, **{k: "1" for k in threads})
-    a = run_cli("simulate", str(path), env=single)
-    b = run_cli("simulate", str(path), env=default)
+    a = run_fresh("simulate", str(path), env=single)
+    b = run_fresh("simulate", str(path), env=default)
     assert a.returncode == 0, a.stderr
     assert a.stdout == b.stdout
 
@@ -415,6 +539,25 @@ def test_sweep_disturbance_power(loop_config):
     assert got[3.0] == pytest.approx(math.log(2), abs=1e-10)
     # control term untouched by the sweep
     assert all(float(r[2]) == pytest.approx(math.log(2), abs=1e-10) for r in rows[1:])
+
+
+def test_sweep_rows_are_what_analyze_prints(loop_config, tmp_path):
+    """The sweep's points share the channel noise and its PSD: each row is,
+    to 12 significant digits, analyze's report for the config with that
+    disturbance variance."""
+    res = run_cli("sweep", str(loop_config), "--param", "sigma_v2", "--values", "0.5,1")
+    assert res.returncode == 0, res.stderr
+    rows = list(csv.DictReader(io.StringIO(res.stdout)))
+    assert [r["value"] for r in rows] == ["0.5", "1"]
+    for row in rows:
+        cfg = json.loads(loop_config.read_text())
+        cfg["output_disturbance"] = {"kind": "white", "variance": float(row["value"])}
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(cfg))
+        rate = json.loads(run_cli("analyze", str(path)).stdout)["rate"]
+        for col, key in (("total", "total_rate"), ("control", "control_term"),
+                         ("disturbance", "disturbance_term")):
+            assert f"{float(row[col]):.12g}" == f"{rate[key]:.12g}", (row, rate)
 
 
 def test_sweep_channel_power(loop_config):

@@ -9,6 +9,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from loopinfo import (
     ConsistencyError,
@@ -655,6 +656,99 @@ def test_jensen_disturbance_term_first_order_closed_forms(worked_model, a):
                        output_disturbance=colored(sigma_v2, tf([1.0, -a])))
         assert abs(_disturbance_term_exact(zero)
                    - _one_zero_closed_form(sigma_v2, sigma_w2, a)) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# a 60-digit oracle: log-Mahler measures from mpmath's roots of the same
+# float coefficients, with every product formed in mpf
+
+
+def _mp_mul(a, b):
+    out = [mp.mpf(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _mp_product(*polys):
+    """The product of Polynomials' coefficients, formed in mpf."""
+    out = [mp.mpf(1)]
+    for p in polys:
+        out = _mp_mul(out, [mp.mpf(c) for c in p.coeffs])
+    return out
+
+
+def _mp_log_mahler(coeffs):
+    """ln|c_0| + sum of ln max(1, |z_i|) over the z-plane roots, the
+    coefficients read as descending powers of z, pure delays stripped."""
+    c = list(coeffs)
+    while c[-1] == 0:
+        c.pop()
+    while c[0] == 0:
+        c.pop(0)
+    m = mp.log(abs(c[0]))
+    if len(c) > 1:
+        # clustered roots (a double pole and its mirror image) converge slowly
+        for r in mp.polyroots(c, maxsteps=200, extraprec=200):
+            m += mp.log(max(1, abs(r)))
+    return m
+
+
+def _mp_disturbance_term(model):
+    """(1/2)[m(sigma_v^2 A A* + sigma_w^2 B B*) - m(sigma_w^2 B B*)], the
+    roots of B B* taken as they are, not factor by factor."""
+    w, v, h = model.channel_noise, model.output_disturbance, model.feedback_filter
+    a = _mp_product(h.num, v.shaping.num, w.shaping.den)
+    b = _mp_product(h.den, v.shaping.den, w.shaping.num)
+    n = max(len(a), len(b))  # equal lengths: a a* and b b* share their centre
+    a, b = a + [mp.mpf(0)] * (n - len(a)), b + [mp.mpf(0)] * (n - len(b))
+    aa, bb = _mp_mul(a, a[::-1]), _mp_mul(b, b[::-1])
+    sv, sw = mp.mpf(v.variance), mp.mpf(w.variance)
+    spectrum = [sv * x + sw * y for x, y in zip(aa, bb)]
+    return (_mp_log_mahler(spectrum) - _mp_log_mahler([sw * y for y in bb])) / 2
+
+
+def _oracle_corpus():
+    plant = tf([0.0, 1.0], [1.0, -2.0])
+    h = tf([1.0, 0.5], [1.0, -0.3])
+    placed = pole_placement_controller(plant * h, [0.1, 0.2, -0.3])
+    r = 0.9999
+
+    def deadbeat(shaping):
+        return LoopModel(plant, tf([-2.0]), TF_ONE, white(1.0), colored(1.0, shaping))
+
+    # an unstable double pole at 1.0001, whose float roots split by ~1e-8
+    double_plant = tf([0.0, 1.0], [1.0, -2.0 * 1.0001, 1.0001**2])
+    return {
+        "v_poles_at_pm_0.9999": deadbeat(tf([1.0], [1.0, 0.0, -r * r])),
+        "v_pole_at_1-1e-6": deadbeat(tf([1.0], [1.0, -(1.0 - 1e-6)])),
+        "v_double_pole_at_0.9999": deadbeat(tf([1.0], [1.0, -2.0 * r, r * r])),
+        "noise_ratio_1e12": LoopModel(plant, placed, h, white(1e-6), white(1e6)),
+        "w_zero_at_0.999_dynamic_H": LoopModel(
+            plant, placed, h, colored(1.0, tf([1.0, -0.999])), white(1.0)
+        ),
+        "plant_double_pole_at_1.0001": LoopModel(
+            double_plant, pole_placement_controller(double_plant, [0.1, -0.2, 0.3]),
+            TF_ONE, white(1.0), white(1.0),
+        ),
+    }
+
+
+ORACLE_CORPUS = _oracle_corpus()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
+def test_exact_terms_match_a_60_digit_oracle(name):
+    model = ORACLE_CORPUS[name]
+    assert is_stabilizing(model).is_stabilizing
+    with mp.workdps(60):
+        disturbance = _mp_disturbance_term(model)
+        bode = _mp_log_mahler(_mp_product(
+            model.plant.den, model.controller.den, model.feedback_filter.den
+        ))
+        assert abs(_disturbance_term_exact(model) - disturbance) <= 1e-13
+        assert abs(bode_term_analytic(model) - bode) <= 1e-13
 
 
 def test_convergence_estimate_small_on_random_loops():

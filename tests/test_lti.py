@@ -22,7 +22,7 @@ from loopinfo import (
     white,
 )
 from loopinfo import lti
-from loopinfo.lti import TF_ONE, Polynomial, _horner, poly_roots
+from loopinfo.lti import TF_ONE, Polynomial, TransferFunction, _horner, poly_roots
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +39,11 @@ def test_polynomial_zero_normal_form():
     assert Polynomial([0.0, 0.0]).coeffs == (0.0,)
     assert Polynomial([0.0]).is_zero
     assert not Polynomial([0.0, 1.0]).is_zero
+
+
+def test_polynomial_needs_a_coefficient():
+    with pytest.raises(InvalidInputError, match="at least one coefficient"):
+        Polynomial([])
 
 
 def _at(p: Polynomial, x: complex) -> complex:
@@ -280,6 +285,13 @@ def test_tf_zero_numerator_collapses():
     t = tf([0.0], [1.0, -0.5])
     assert t.is_zero
     assert t.den.coeffs == (1.0,)
+    assert t.zeros() == []
+
+
+def test_transfer_function_takes_coefficient_lists():
+    t = TransferFunction([0.0, 2.0], [2.0, -1.0])
+    assert (t.num.coeffs, t.den.coeffs) == ((0.0, 1.0), (1.0, -0.5))
+    assert t == tf([0.0, 2.0], [2.0, -1.0])
 
 
 def test_tf_product():
@@ -649,3 +661,7 @@ def test_placement_input_guards():
         pole_placement_controller(tf([0.0, 0.0, 1.0], [1.0, -0.5]), [0.0])
     with pytest.raises(InvalidInputError):
         pole_placement_controller(plant, [0.5j])  # not conjugate-closed
+    with pytest.raises(InvalidInputError, match="non-causal"):
+        # (1 + d)/(1 - 2d) has a direct term: the closed loop 1 + d at -1
+        # needs a controller with no constant denominator term
+        pole_placement_controller(tf([1.0, 1.0], [1.0, -2.0]), [-1.0])

@@ -251,6 +251,14 @@ def test_trajectory_csv_layout(worked_model):
     assert float(rows[1][4]) == pytest.approx(float(rows[1][3]) + float(rows[1][1]), abs=1e-9)
 
 
+def test_trajectory_csv_to_a_path_is_the_file_object_text(worked_model, tmp_path):
+    traj = simulate_loop(SimulationConfig(worked_model, n_samples=4100, burn_in=4096, seed=0))
+    buf = io.StringIO(newline="")
+    traj.to_csv(buf)
+    traj.to_csv(tmp_path / "traj.csv")
+    assert (tmp_path / "traj.csv").read_bytes().decode() == buf.getvalue()
+
+
 def test_initial_state_length_checked(worked_model):
     cfg = SimulationConfig(
         LoopModel(

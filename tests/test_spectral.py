@@ -628,6 +628,16 @@ def test_spectrum_csv_round_trip():
     assert np.allclose(back[:, 1], s.values, atol=1e-11)
 
 
+def test_spectrum_csv_to_a_path_is_the_file_object_text(tmp_path):
+    s = SpectrumSamples(FrequencyGrid(64), np.full(64, 1.5))
+    buf = io.StringIO(newline="")
+    spectrum_to_csv(s, buf)
+    spectrum_to_csv(s, tmp_path / "s.csv")
+    spectrum_to_csv(s, str(tmp_path / "t.csv"))
+    for name in ("s.csv", "t.csv"):
+        assert (tmp_path / name).read_bytes().decode() == buf.getvalue()
+
+
 def test_spectrum_samples_reject_complex_values():
     g = FrequencyGrid(64)
     with warnings.catch_warnings():
