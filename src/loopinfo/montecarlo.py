@@ -34,14 +34,20 @@ worker thread, a daemon started on first use and kept for the life of the
 process, runs one half while the calling thread runs the other (see
 _beside): v's draw while the caller draws w, every other block-row product
 of the run, and the w half of the Welch pair while the caller forms y's
-estimate. Each half makes the same numpy calls on the same operands as a
-serial run, whichever thread runs it, so every bit is the same on either
-thread. numpy keeps its error state per thread, so a worker task runs under
-the state of the thread that submitted it. A forked child starts its own
-worker, since the parent's thread does not survive the fork; where no thread
-can be started, the caller runs both halves, w's draw before v's. The
-worker's draw and Welch half call no public name, so they leave no span in
-a tracer that wraps them. decompose stays on the calling thread.
+estimate. The worker may run on every CPU the caller may, less the one
+the caller was on when the worker started: left to the kernel, the woken
+worker was at times queued on the caller's own CPU on a 2-vCPU VM, and the
+two halves took turns on one core (the caller's 2.2 ms draw took 4.2 ms).
+With one CPU, off Linux, or where the placement fails, the worker stays
+unpinned; the caller's affinity is never changed (see _worker_tasks). Each
+half makes the same numpy calls on the same operands as a serial run,
+whichever thread runs it, so every bit is the same on either thread. numpy
+keeps its error state per thread, so a worker task runs under the state of
+the thread that submitted it. A forked child starts its own worker, off the
+child's CPU, since the parent's thread does not survive the fork; where no
+thread can be started, the caller runs both halves, w's draw before v's.
+The worker's draw and Welch half call no public name, so they leave no span
+in a tracer that wraps them. decompose stays on the calling thread.
 """
 
 from __future__ import annotations
@@ -88,9 +94,29 @@ _worker = None  # the task queue of the thread that runs one half of each op
 _worker_lock = threading.Lock()
 
 
-def _serve(tasks: SimpleQueue) -> None:
+def _serve(tasks: SimpleQueue, cpus: set[int] | None) -> None:
+    if cpus:
+        try:
+            os.sched_setaffinity(0, cpus)  # this thread's alone
+        except (AttributeError, OSError):  # no such call, or refused: unpinned
+            pass
     while True:
         tasks.get()()
+
+
+def _cpus_beside() -> set[int] | None:
+    """The CPUs the calling thread may run on, less the one it runs on now,
+    or None where that leaves none or either cannot be read (one CPU, no
+    sched_getaffinity, no /proc/thread-self)."""
+    try:
+        allowed = os.sched_getaffinity(0)
+        with open("/proc/thread-self/stat", "rb") as stat:
+            # field 39, the CPU, counted after the command name, field 2,
+            # which sits in parentheses and may hold spaces
+            here = int(stat.read().rpartition(b")")[2].split()[36])
+    except (AttributeError, OSError, ValueError, IndexError):
+        return None
+    return allowed - {here} or None
 
 
 def _worker_tasks() -> SimpleQueue | None:
@@ -101,13 +127,25 @@ def _worker_tasks() -> SimpleQueue | None:
     product and first buffers again, about 0.7 ms a call. As a daemon it
     keeps serving callers that outlive the main thread, and atexit hooks.
     Python 3.12 refuses a new thread once the interpreter is shutting down.
+
+    The worker pins itself to the CPUs the calling thread may use, less the
+    one the caller runs on as it starts the worker (_cpus_beside): unpinned,
+    it was at times queued on the caller's CPU on a 2-vCPU VM, and each half waited
+    on the other's time slices (monte-carlo ops 14 ms against 9 ms pinned).
+    Where that leaves no CPU (one CPU allowed) or the placement cannot be
+    made (off Linux, /proc unreadable, the call missing or refused), the
+    worker stays unpinned. Only the worker's affinity is set, never the
+    caller's. A forked child reads its own CPU when it starts its worker.
     """
     global _worker
     with _worker_lock:
         if _worker is None:
             tasks = SimpleQueue()
             thread = threading.Thread(
-                target=_serve, args=(tasks,), name="loopinfo-montecarlo", daemon=True
+                target=_serve,
+                args=(tasks, _cpus_beside()),
+                name="loopinfo-montecarlo",
+                daemon=True,
             )
             try:
                 thread.start()

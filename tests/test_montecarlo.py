@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import json
 import math
 import os
 import subprocess
@@ -1142,6 +1143,218 @@ def test_a_forked_child_simulates_with_its_own_worker():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "0"]
+
+
+needs_placement = pytest.mark.skipif(
+    not (hasattr(os, "sched_getaffinity") and os.path.exists("/proc/thread-self/stat")),
+    reason="needs os.sched_getaffinity and /proc/thread-self",
+)
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two CPUs",
+)
+
+# Moves the calling thread onto one CPU and back to its allowed set (so it
+# sits on that CPU when the worker starts), runs one compare_report, and
+# prints as JSON the CPU, the allowed set, every thread's Cpus_allowed_list
+# before the worker started and after the report, the worker's thread id and
+# the record in float.hex. With "confined" the process first confines itself
+# to that one CPU.
+_PLACEMENT = """
+import json, os, sys, threading
+from dataclasses import asdict
+from loopinfo import FrequencyGrid, LoopModel, SimulationConfig, colored, compare_report, tf, white
+from loopinfo import montecarlo
+
+
+def cpu_lists():
+    lists = {}
+    for tid in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{tid}/status") as status:
+            for line in status:
+                if line.startswith("Cpus_allowed_list:"):
+                    lists[tid] = line.split()[1]
+    return lists
+
+
+model = LoopModel(
+    tf([0.0, 1.0], [1.0, -2.0]), tf([-2.0]), tf([1.0]), white(1.0),
+    colored(0.7, tf([1.0, 0.5], [1.0, -0.9])),
+)
+allowed = os.sched_getaffinity(0)
+cpu = max(allowed)
+if sys.argv[1] == "confined":
+    allowed = {cpu}
+os.sched_setaffinity(0, {cpu})
+os.sched_setaffinity(0, allowed)
+before = cpu_lists()
+montecarlo._worker_tasks()
+rec = compare_report(SimulationConfig(model, n_samples=2**14, seed=6), grid=FrequencyGrid(1024))
+after = cpu_lists()
+worker = next(t.native_id for t in threading.enumerate() if t.name == "loopinfo-montecarlo")
+print(json.dumps({
+    "cpu": cpu, "allowed": sorted(allowed), "before": before, "after": after,
+    "worker": str(worker), "caller": str(threading.get_native_id()),
+    "record": {k: v.hex() if isinstance(v, float) else v for k, v in asdict(rec).items()},
+}))
+"""
+
+
+def _cpu_set(cpus_allowed_list):
+    """The CPUs of a Cpus_allowed_list such as 0-3,5."""
+    cpus = set()
+    for part in cpus_allowed_list.split(","):
+        lo, _, hi = part.partition("-")
+        cpus.update(range(int(lo), int(hi or lo) + 1))
+    return cpus
+
+
+def _placement(how):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PLACEMENT, how],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    # every thread but the worker keeps its list: the caller, and OpenBLAS's pool
+    others = {tid: cpus for tid, cpus in got["after"].items() if tid != got["worker"]}
+    assert others == got["before"]
+    assert got["caller"] in others
+    return got
+
+
+def _colored_v_record():
+    cfg = SimulationConfig(colored_v_loop(), n_samples=2**14, seed=6)
+    return _record_hex(compare_report(cfg, grid=FrequencyGrid(1024)))
+
+
+@needs_placement
+@needs_two_cpus
+def test_the_worker_runs_off_the_callers_cpu():
+    got = _placement("free")
+    assert _cpu_set(got["after"][got["worker"]]) == set(got["allowed"]) - {got["cpu"]}
+    assert _cpu_set(got["after"][got["caller"]]) == set(got["allowed"])
+    assert got["record"] == _colored_v_record()
+
+
+@needs_placement
+def test_a_caller_confined_to_one_cpu_leaves_the_worker_unpinned():
+    got = _placement("confined")
+    assert got["after"][got["worker"]] == got["after"][got["caller"]] == str(got["cpu"])
+    assert got["record"] == _colored_v_record()
+
+
+@pytest.fixture
+def spare_worker(monkeypatch):
+    """For a test that sets _worker to None through monkeypatch, so that the
+    next op starts a second worker: gives a function that finds that worker's
+    thread, and ends the thread after the test."""
+    tasks = montecarlo._worker_tasks()  # the process's own worker, started if need be
+    kept = set(threading.enumerate())
+
+    def spare():
+        return next(
+            t for t in threading.enumerate()
+            if t.name == "loopinfo-montecarlo" and t not in kept
+        )
+
+    yield spare
+    if montecarlo._worker not in (None, tasks):
+        thread = spare()
+        # SystemExit ends the thread: Python's own hook ignores it, pytest's reports it
+        monkeypatch.setattr(threading, "excepthook", threading.__excepthook__)
+        montecarlo._worker.put(sys.exit)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def _unreadable_proc(path, *args, **kwargs):
+    if str(path).startswith("/proc/"):
+        raise PermissionError(13, "Permission denied", path)
+    return open(path, *args, **kwargs)
+
+
+def _refuse_affinity(pid, cpus):
+    raise OSError(22, "Invalid argument")
+
+
+@needs_placement
+@pytest.mark.parametrize(
+    "fault", ["stat-unreadable", "no-setaffinity", "setaffinity-raises"]
+)
+def test_the_worker_stays_unpinned_where_placement_fails(monkeypatch, spare_worker, fault):
+    pinned = _colored_v_record()
+    monkeypatch.setattr(montecarlo, "_worker", None)
+    if fault == "stat-unreadable":  # the module's open, so pytest's own is untouched
+        monkeypatch.setattr(montecarlo, "open", _unreadable_proc, raising=False)
+    elif fault == "no-setaffinity":
+        monkeypatch.delattr(os, "sched_setaffinity")
+    else:
+        monkeypatch.setattr(os, "sched_setaffinity", _refuse_affinity)
+    assert _colored_v_record() == pinned
+    assert os.sched_getaffinity(spare_worker().native_id) == os.sched_getaffinity(0)
+
+
+# Starts the worker with the calling thread on the first of its allowed CPUs,
+# forks, and in the child starts one with the calling thread on the second.
+# Prints the CPUs each worker may run on, the parent's then the child's.
+_FORKED_PLACEMENT = """
+import os, sys, threading, time
+from loopinfo import LoopModel, SimulationConfig, colored, simulate_loop, tf, white
+from loopinfo import montecarlo
+
+model = LoopModel(
+    tf([0.0, 1.0], [1.0, -2.0]), tf([-2.0]), tf([1.0]), white(1.0),
+    colored(0.7, tf([1.0, 0.5], [1.0, -0.9])),
+)
+allowed = os.sched_getaffinity(0)
+
+
+def start_on(cpu):
+    os.sched_setaffinity(0, {cpu})
+    os.sched_setaffinity(0, allowed)
+    montecarlo._worker_tasks()
+    simulate_loop(SimulationConfig(model, n_samples=2**14, seed=4))
+    worker = next(t for t in threading.enumerate() if t.name == "loopinfo-montecarlo")
+    return sorted(os.sched_getaffinity(worker.native_id))
+
+
+first, second = sorted(allowed)[:2]
+print(start_on(first))
+r, w = os.pipe()
+pid = os.fork()
+if pid == 0:
+    os.write(w, repr(start_on(second)).encode())
+    os._exit(0)
+os.close(w)
+deadline = time.monotonic() + 30
+while True:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        break
+    if time.monotonic() > deadline:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        sys.exit("the forked child did not finish its simulation")
+    time.sleep(0.01)
+print(os.read(r, 4096).decode())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@needs_placement
+@needs_two_cpus
+def test_a_forked_childs_worker_runs_off_the_childs_own_cpu():
+    proc = subprocess.run(
+        [sys.executable, "-c", _FORKED_PLACEMENT], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    allowed = os.sched_getaffinity(0)
+    first, second = sorted(allowed)[:2]
+    parent, child = proc.stdout.splitlines()
+    assert parent == repr(sorted(allowed - {first}))
+    assert child == repr(sorted(allowed - {second}))
 
 
 def test_cli_import_starts_no_thread():
